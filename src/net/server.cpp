@@ -13,6 +13,7 @@
 #include <csignal>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <thread>
 
 #include "obs/quantile.hpp"
@@ -28,6 +29,18 @@ constexpr int kPollTickMs = 250;
 /// tens of milliseconds, so the shard must look again well before the
 /// regular tick would.
 constexpr int kDeferredTickMs = 5;
+
+/// Admitted-but-unanswered requests one pipelined connection may hold
+/// before the shard stops parsing its buffer (bytes stay queued; TCP
+/// backpressure does the rest).  Parsing resumes as replies free it.
+constexpr std::size_t kPipelineWindow = 32;
+/// Tile schedules kept for repeated (GemmSpec, scratch capacity) pairs.
+constexpr std::size_t kPlanCacheCapacity = 32;
+/// Rolling-sampler delta points kept.
+constexpr std::size_t kSamplerCapacity = 128;
+/// Flight recorder: last-N completions ring and pinned slow/error ring.
+constexpr std::size_t kFlightRecent = 64;
+constexpr std::size_t kFlightCaptured = 64;
 
 std::uint64_t us_between(std::chrono::steady_clock::time_point from,
                          std::chrono::steady_clock::time_point to) {
@@ -78,14 +91,13 @@ void signal_drain_handler(int) {
 Server::Server(ServerConfig config)
     : config_(std::move(config)),
       compile_(config_.compile),
-      plan_cache_(std::max<std::size_t>(1, config_.plan_cache_capacity)),
+      plan_cache_(kPlanCacheCapacity),
       sampler_(obs::SamplerConfig{
-          config_.sampler_capacity,
+          kSamplerCapacity,
           {"net.jobs.completed", "net.jobs.failed", "net.bytes.in",
            "net.bytes.out", "net.frames.in", "net.rejects.busy",
            "rt.sim_cycles", "rt.busy_us"}}),
-      recorder_(obs::FlightRecorderConfig{config_.flight_recent,
-                                          config_.flight_captured,
+      recorder_(obs::FlightRecorderConfig{kFlightRecent, kFlightCaptured,
                                           config_.slow_threshold_us}) {
   start_time_ = std::chrono::steady_clock::now();
   // Backdated so the first poll tick takes the sampler's baseline.
@@ -292,8 +304,11 @@ void Server::handle_submit(Shard& shard, Conn& conn, const Frame& frame) {
                frame.version);
     return;
   }
-  admit_job(shard, conn, std::move(job), req.tag, req.trace_id,
-            frame.version, nullptr, 0, false, nullptr, 0);
+  admit(shard,
+        {.parent = open_request(conn, req.tag, req.trace_id, frame.version, 1),
+         .tag = req.tag,
+         .job = std::move(job)},
+        false);
 }
 
 void Server::handle_submit_batch(Shard& shard, Conn& conn,
@@ -324,165 +339,298 @@ void Server::handle_submit_batch(Shard& shard, Conn& conn,
     return;
   }
 
-  auto batch = std::make_shared<BatchState>();
-  batch->conn_id = conn.id;
-  batch->version = frame.version;
-  batch->trace_id = req.trace_id;
-  batch->admitted = std::chrono::steady_clock::now();
-  batch->result.tag = req.tag;
-  batch->result.entries.resize(req.jobs.size());
-  batch->remaining = req.jobs.size();
+  auto batch = open_request(conn, req.tag, req.trace_id, frame.version,
+                            req.jobs.size());
+  batch->batch = true;
   if (req.jobs.empty()) {
-    send_frame(conn, MsgType::kJobBatchResult,
-               encode_job_batch_result(batch->result, frame.version),
-               frame.version);
+    finish(shard, *batch);
     return;
   }
-  // The whole batch is one logical in-flight unit for the pipelining
-  // window and the idle reaper; the reply leaves when the last entry
-  // settles (finalize_batch releases this hold).
-  ++conn.pending_jobs;
   for (std::size_t i = 0; i < req.jobs.size(); ++i) {
     JobRequest& jr = req.jobs[i];
     // Entries without their own trace inherit the batch's, before
     // conversion so the fleet (and the flight recorder) see it too.
     if (jr.trace_id == 0) jr.trace_id = req.trace_id;
-    rt::Job job;
+    Child child{.parent = batch, .index = i, .tag = jr.tag};
     try {
-      job = to_rt_job(jr);
+      child.job = to_rt_job(jr);
     } catch (const std::exception& e) {
-      JobBatchEntryMsg entry;
-      entry.ok = 0;
-      entry.error.tag = jr.tag;
-      entry.error.code = ErrorCode::kBadRequest;
-      entry.error.message = e.what();
-      settle_batch_entry(shard, batch, i, std::move(entry));
+      settle(shard, child, nullptr,
+             {.tag = jr.tag, .code = ErrorCode::kBadRequest,
+              .message = e.what()});
       continue;
     }
-    admit_job(shard, conn, std::move(job), jr.tag, jr.trace_id,
-              frame.version, nullptr, 0, false, batch, i);
+    admit(shard, std::move(child), false);
   }
 }
 
-void Server::admit_job(Shard& shard, Conn& conn, rt::Job job,
-                       std::uint32_t tag, std::uint64_t trace_id,
-                       std::uint16_t version,
-                       std::shared_ptr<const svc::CompiledDfg> dfg,
-                       std::size_t dfg_samples, bool dfg_cache_hit,
-                       std::shared_ptr<BatchState> batch,
-                       std::size_t batch_index) {
-  // Admission is stamped before the enqueue: a worker may arm the job
-  // the instant it lands, and e2e must bracket the execute interval.
-  const auto admitted = std::chrono::steady_clock::now();
-  const std::size_t depth = runtime_->queue_depth();
-  if (depth >= admission_high_) {
-    shed_job(shard, &conn, tag, version, batch, batch_index);
-    return;
-  }
-  if (depth >= admission_low_) {
-    // Between the watermarks: park the job instead of either queueing
-    // deeper (latency) or shedding (wasted work) — the shard retries
-    // as completions pull the depth back down.
-    DeferredJob dj;
-    dj.conn_id = conn.id;
-    dj.tag = tag;
-    dj.job_name = job.name;
-    dj.job = std::move(job);
-    dj.trace_id = trace_id;
-    dj.version = version;
-    dj.admitted = admitted;
-    dj.deadline = admitted + config_.admission_max_delay;
-    dj.dfg = std::move(dfg);
-    dj.dfg_samples = dfg_samples;
-    dj.dfg_cache_hit = dfg_cache_hit;
-    dj.batch_index = batch_index;
-    if (batch == nullptr) ++conn.pending_jobs;  // parked hold on window
-    dj.batch = std::move(batch);
-    shard.deferred.push_back(std::move(dj));
-    counters_.admission_delayed.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  PendingJob meta;
-  meta.conn_id = conn.id;
-  meta.tag = tag;
-  meta.trace_id = trace_id;
-  meta.job_name = job.name;
-  meta.version = version;
-  meta.admitted = admitted;
-  meta.dfg = std::move(dfg);
-  meta.dfg_samples = dfg_samples;
-  meta.dfg_cache_hit = dfg_cache_hit;
-  meta.batch = batch;
-  meta.batch_index = batch_index;
-  switch (submit_pending(shard, &conn, std::move(job), std::move(meta))) {
-    case FleetSubmit::kAccepted:
-      counters_.admission_accepted.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case FleetSubmit::kQueueFull:
-      // The depth read raced another shard past the high watermark.
-      shed_job(shard, &conn, tag, version, batch, batch_index);
-      break;
-    case FleetSubmit::kShutDown:
-      counters_.rejects_shutdown.fetch_add(1, std::memory_order_relaxed);
-      if (batch != nullptr) {
-        JobBatchEntryMsg entry;
-        entry.ok = 0;
-        entry.error.tag = tag;
-        entry.error.code = ErrorCode::kShuttingDown;
-        entry.error.message = "runtime is shut down";
-        settle_batch_entry(shard, batch, batch_index, std::move(entry));
-      } else {
-        send_error(conn, tag, ErrorCode::kShuttingDown,
-                   "runtime is shut down", version);
+std::shared_ptr<Server::Request> Server::open_request(
+    Conn& conn, std::uint32_t tag, std::uint64_t trace_id,
+    std::uint16_t version, std::size_t children) {
+  auto req = std::make_shared<Request>();
+  req->conn_id = conn.id;
+  req->tag = tag;
+  req->version = version;
+  req->trace_id = trace_id;
+  req->admitted = std::chrono::steady_clock::now();
+  req->unsettled = children;
+  req->reply.tag = tag;
+  req->reply.entries.resize(children);
+  // One logical in-flight unit for the pipelining window and the idle
+  // reaper, however many children it fans out to; finish() releases it.
+  ++conn.pending_jobs;
+  return req;
+}
+
+bool Server::admit(Shard& shard, Child child, bool parked) {
+  Request& req = *child.parent;
+  const bool tile = req.gemm != nullptr;
+  const auto shed = [&] {
+    counters_.admission_shed.fetch_add(1, std::memory_order_relaxed);
+    counters_.rejects_busy.fetch_add(1, std::memory_order_relaxed);
+    settle(shard, child, nullptr,
+           {.tag = child.tag, .code = ErrorCode::kBusy,
+            .message = "job queue is full — resubmit later",
+            .retry_after_ms = config_.retry_after_hint_ms});
+  };
+  if (!parked) {
+    // Stamped before the enqueue: a worker may arm the job the instant
+    // it lands, and e2e must bracket the execute interval.  A parked
+    // child keeps its first stamp, so e2e includes the deferral.
+    child.admitted = std::chrono::steady_clock::now();
+    child.name = child.job.name;
+    if (!tile) {
+      const std::size_t depth = runtime_->queue_depth();
+      if (depth >= admission_high_) {
+        shed();
+        return true;
       }
-      break;
+      if (depth >= admission_low_) {
+        // Between the watermarks: park the child instead of either
+        // queueing deeper (latency) or shedding (wasted work) — the
+        // shard retries as completions pull the depth back down.
+        child.deadline = child.admitted + config_.admission_max_delay;
+        shard.deferred.push_back(std::move(child));
+        counters_.admission_delayed.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      }
+    }
   }
-}
-
-Server::FleetSubmit Server::submit_pending(Shard& shard, Conn* conn,
-                                           rt::Job job, PendingJob meta) {
   const int wake_fd = shard.wake_w;
-  auto submitted = runtime_->try_submit(std::move(job), [wake_fd] {
+  auto submitted = runtime_->try_submit(std::move(child.job), [wake_fd] {
     wake_shard(wake_fd, 'j');
   });
   switch (submitted.status) {
-    case rt::Runtime::SubmitStatus::kAccepted: {
-      meta.result = std::move(submitted.result);
-      // Batch entries share the single hold their batch took.
-      if (conn != nullptr && meta.batch == nullptr) ++conn->pending_jobs;
-      shard.pending.push_back(std::move(meta));
-      counters_.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
-      shard.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
-      return FleetSubmit::kAccepted;
-    }
+    case rt::Runtime::SubmitStatus::kAccepted:
+      child.result = std::move(submitted.result);
+      if (tile) {
+        counters_.gemm_tile_jobs.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        counters_.admission_accepted.fetch_add(1, std::memory_order_relaxed);
+        counters_.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
+        shard.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
+      }
+      shard.running.push_back(std::move(child));
+      return true;
     case rt::Runtime::SubmitStatus::kQueueFull:
-      return FleetSubmit::kQueueFull;
+      // Backpressure stretches a GEMM instead of shedding it: the step
+      // is built again on the next wake or tick.  A job's depth read
+      // raced another shard past the high watermark.
+      if (tile) return false;
+      shed();
+      return true;
     case rt::Runtime::SubmitStatus::kShutDown:
       break;
   }
-  return FleetSubmit::kShutDown;
+  if (!tile) {
+    counters_.rejects_shutdown.fetch_add(1, std::memory_order_relaxed);
+  }
+  settle(shard, child, nullptr,
+         {.tag = child.tag, .code = ErrorCode::kShuttingDown,
+          .message = "runtime is shut down"});
+  return true;
 }
 
-void Server::shed_job(Shard& shard, Conn* conn, std::uint32_t tag,
-                      std::uint16_t version,
-                      const std::shared_ptr<BatchState>& batch,
-                      std::size_t batch_index) {
-  counters_.admission_shed.fetch_add(1, std::memory_order_relaxed);
-  counters_.rejects_busy.fetch_add(1, std::memory_order_relaxed);
-  if (batch != nullptr) {
-    JobBatchEntryMsg entry;
-    entry.ok = 0;
-    entry.error.tag = tag;
-    entry.error.code = ErrorCode::kBusy;
-    entry.error.message = "job queue is full — resubmit later";
-    entry.error.retry_after_ms = config_.retry_after_hint_ms;
-    settle_batch_entry(shard, batch, batch_index, std::move(entry));
-    return;
+void Server::settle(Shard& shard, Child& child, const rt::JobResult* ran,
+                    ErrorMsg error) {
+  Request& req = *child.parent;
+  if (req.gemm != nullptr) {
+    // Tiles fold into the grid in any order; the first failure becomes
+    // the reply and stops the fan-out.
+    JobBatchEntryMsg& entry = req.reply.entries.front();
+    std::optional<std::string> failure;
+    if (ran == nullptr) {
+      // A tile that never ran was never submitted.
+      counters_.jobs_cancelled.fetch_add(1, std::memory_order_relaxed);
+      failure = std::move(error.message);
+    } else if (!ran->ok) {
+      failure = ran->error;
+    } else if (entry.ok) {
+      try {
+        req.gemm->fold(child.index, *ran);
+        entry.result.worker = static_cast<std::uint32_t>(ran->worker);
+        if (ran->reused_system) entry.result.reused_system = 1;
+      } catch (const SimError& e) {
+        // Output shape the schedule does not expect — a server bug,
+        // not a client one; fail the request without crashing.
+        failure = e.what();
+      }
+    }
+    if (failure && entry.ok) {
+      entry.ok = 0;
+      entry.error = {.tag = req.tag, .code = ErrorCode::kJobFailed,
+                     .message = std::move(*failure)};
+    }
+    if (!entry.ok) {
+      const std::size_t unfed = req.gemm->steps() - req.next_step;
+      req.next_step = req.gemm->steps();
+      cancel(shard, req, unfed);
+    }
+  } else {
+    JobBatchEntryMsg& entry = req.reply.entries[child.index];
+    if (ran == nullptr) {
+      entry.ok = 0;
+      entry.error = std::move(error);
+    } else if (ran->ok) {
+      counters_.jobs_completed.fetch_add(1, std::memory_order_relaxed);
+      entry.ok = 1;
+      entry.result = make_job_result_msg(child.tag, *ran);
+      if (req.dfg != nullptr) {
+        // DFG job: de-lace the raw fleet words into per-output streams,
+        // concatenated in Dfg output order.  The appended counters tell
+        // the client how to split the flat words back.
+        try {
+          const auto streams =
+              svc::delace_outputs(*req.dfg, ran->outputs, req.dfg_samples);
+          JobResultMsg& msg = entry.result;
+          msg.outputs.clear();
+          for (const auto& s : streams) {
+            msg.outputs.insert(msg.outputs.end(), s.begin(), s.end());
+          }
+          msg.counters.emplace_back("svc.dfg.outputs", streams.size());
+          msg.counters.emplace_back("svc.dfg.samples", req.dfg_samples);
+          msg.counters.emplace_back("svc.dfg.cache_hit",
+                                    req.dfg_cache_hit ? 1 : 0);
+          msg.counters.emplace_back("svc.dfg.hash", req.dfg->dfg_hash);
+        } catch (const SimError& e) {
+          // Raw stream shorter than the program promises — a server
+          // bug, not a client one; answer it without crashing.
+          entry.ok = 0;
+          entry.error = {.tag = child.tag, .code = ErrorCode::kInternal,
+                         .message = e.what()};
+        }
+      }
+    } else {
+      // SimError text travels verbatim; the client re-raises it.
+      counters_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
+      entry.ok = 0;
+      entry.error = {.tag = child.tag, .code = ErrorCode::kJobFailed,
+                     .message = ran->error};
+    }
   }
-  if (conn != nullptr) {
-    send_error(*conn, tag, ErrorCode::kBusy,
-               "job queue is full — resubmit later", version,
-               config_.retry_after_hint_ms);
+  if (--req.unsettled == 0) finish(shard, req);
+}
+
+void Server::finish(Shard& shard, Request& req) {
+  const auto now = std::chrono::steady_clock::now();
+  if (req.gemm != nullptr) {
+    // Every GEMM's scratchpad feeds the shared tile.scratch.* series;
+    // one GEMM counts as one job, however many tiles it spawned.
+    tile::GemmResult g = req.gemm->result();
+    counters_.gemm_scratch_hits.fetch_add(g.scratch_hits,
+                                          std::memory_order_relaxed);
+    counters_.gemm_scratch_refills.fetch_add(g.scratch_refills,
+                                             std::memory_order_relaxed);
+    counters_.gemm_bytes_filled.fetch_add(g.bytes_filled,
+                                          std::memory_order_relaxed);
+    counters_.gemm_bytes_saved.fetch_add(g.bytes_saved,
+                                         std::memory_order_relaxed);
+    JobBatchEntryMsg& entry = req.reply.entries.front();
+    if (!entry.ok) {
+      counters_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
+    } else if (!req.cancelled) {
+      counters_.jobs_completed.fetch_add(1, std::memory_order_relaxed);
+      JobResultMsg& msg = entry.result;
+      msg.tag = req.tag;
+      msg.outputs = std::move(g.c);
+      msg.sim_cycles = g.sim_cycles;
+      msg.counters = {
+          {"sim.cycles", g.sim_cycles},
+          {"tile.jobs", g.jobs},
+          {"tile.scratch.hits", g.scratch_hits},
+          {"tile.scratch.refills", g.scratch_refills},
+          {"tile.scratch.evictions", g.scratch_evictions},
+          {"tile.scratch.bytes_filled", g.bytes_filled},
+          {"tile.scratch.bytes_saved", g.bytes_saved},
+          {"tile.streamed_bytes", g.schedule.streamed_bytes},
+      };
+      msg.trace_id = req.trace_id;
+      msg.total_us = clamp_u32(us_between(req.admitted, now));
+    }
+  }
+  Conn* conn = find_conn(shard, req.conn_id);
+  if (conn == nullptr) return;  // peer vanished; the reply is forfeit
+  if (req.batch) {
+    send_frame(*conn, MsgType::kJobBatchResult,
+               encode_job_batch_result(req.reply, req.version),
+               req.version);
+  } else if (const JobBatchEntryMsg& entry = req.reply.entries.front();
+             entry.ok) {
+    send_frame(*conn, MsgType::kJobResult,
+               encode_job_result(entry.result, req.version), req.version);
+  } else {
+    send_frame(*conn, MsgType::kError,
+               encode_error(entry.error, req.version), req.version);
+  }
+  if (conn->pending_jobs > 0) --conn->pending_jobs;
+  conn->last_activity = now;
+}
+
+void Server::cancel(Shard& shard, Request& req, std::size_t n) {
+  if (n == 0) return;
+  counters_.jobs_cancelled.fetch_add(n, std::memory_order_relaxed);
+  req.unsettled -= n;
+  if (req.unsettled == 0) finish(shard, req);
+}
+
+void Server::feed(Shard& shard) {
+  bool queue_full = false;
+  for (auto it = shard.feeding.begin(); it != shard.feeding.end();) {
+    Request& req = **it;
+    const std::size_t steps = req.gemm->steps();
+    if (req.next_step < steps && find_conn(shard, req.conn_id) == nullptr) {
+      // The peer left: nothing more goes to the fleet for it.  Tiles
+      // already running finish and their results are dropped.
+      req.cancelled = true;
+      const std::size_t unfed = steps - req.next_step;
+      req.next_step = steps;
+      cancel(shard, req, unfed);
+    }
+    while (!queue_full && req.next_step < steps) {
+      // A tile the full queue refuses is built again later, and a
+      // rebuild would count extra scratchpad hits: look before building.
+      if (runtime_->queue_depth() >= runtime_->queue_capacity()) {
+        queue_full = true;
+        break;
+      }
+      Child child{.parent = *it, .index = req.next_step++, .tag = req.tag};
+      try {
+        child.job = req.gemm->build(child.index);
+      } catch (const SimError& e) {
+        settle(shard, child, nullptr, {.message = e.what()});
+        break;
+      }
+      child.job.trace_id = req.trace_id;
+      if (!admit(shard, std::move(child), false)) {
+        --req.next_step;
+        queue_full = true;
+      }
+    }
+    if (req.next_step == steps) {
+      it = shard.feeding.erase(it);
+    } else {
+      ++it;
+    }
   }
 }
 
@@ -490,86 +638,22 @@ void Server::pump_deferred(Shard& shard) {
   if (shard.deferred.empty()) return;
   const auto now = std::chrono::steady_clock::now();
   for (auto it = shard.deferred.begin(); it != shard.deferred.end();) {
-    const bool due = now >= it->deadline;
     // Attempt only when success is likely (depth back under low) or
     // the deadline forces the issue — an attempt consumes the job, so
-    // a failed one settles the request (shed) rather than re-parking.
-    if (!due && runtime_->queue_depth() >= admission_low_) {
+    // a failed one settles the child (shed) rather than re-parking.
+    if (now < it->deadline && runtime_->queue_depth() >= admission_low_) {
       ++it;
       continue;
     }
-    Conn* conn = find_conn(shard, it->conn_id);
-    if (conn == nullptr && it->batch == nullptr) {
+    Child child = std::move(*it);
+    it = shard.deferred.erase(it);
+    if (find_conn(shard, child.parent->conn_id) == nullptr) {
       // Peer vanished while parked: nothing to answer, nothing to run.
-      it = shard.deferred.erase(it);
+      cancel(shard, *child.parent, 1);
       continue;
     }
-    if (conn != nullptr && it->batch == nullptr &&
-        conn->pending_jobs > 0) {
-      --conn->pending_jobs;  // release the parked hold; submit re-takes
-    }
-    PendingJob meta;
-    meta.conn_id = it->conn_id;
-    meta.tag = it->tag;
-    meta.trace_id = it->trace_id;
-    meta.job_name = std::move(it->job_name);
-    meta.version = it->version;
-    meta.admitted = it->admitted;  // e2e includes the deferral
-    meta.dfg = std::move(it->dfg);
-    meta.dfg_samples = it->dfg_samples;
-    meta.dfg_cache_hit = it->dfg_cache_hit;
-    meta.batch = it->batch;
-    meta.batch_index = it->batch_index;
-    const std::uint32_t tag = it->tag;
-    const std::uint16_t version = it->version;
-    auto batch = std::move(it->batch);
-    const std::size_t batch_index = it->batch_index;
-    rt::Job job = std::move(it->job);
-    it = shard.deferred.erase(it);
-    switch (submit_pending(shard, conn, std::move(job), std::move(meta))) {
-      case FleetSubmit::kAccepted:
-        counters_.admission_accepted.fetch_add(1,
-                                               std::memory_order_relaxed);
-        break;
-      case FleetSubmit::kQueueFull:
-        shed_job(shard, conn, tag, version, batch, batch_index);
-        break;
-      case FleetSubmit::kShutDown:
-        counters_.rejects_shutdown.fetch_add(1, std::memory_order_relaxed);
-        if (batch != nullptr) {
-          JobBatchEntryMsg entry;
-          entry.ok = 0;
-          entry.error.tag = tag;
-          entry.error.code = ErrorCode::kShuttingDown;
-          entry.error.message = "runtime is shut down";
-          settle_batch_entry(shard, batch, batch_index, std::move(entry));
-        } else if (conn != nullptr) {
-          send_error(*conn, tag, ErrorCode::kShuttingDown,
-                     "runtime is shut down", version);
-        }
-        break;
-    }
+    admit(shard, std::move(child), true);
   }
-}
-
-void Server::settle_batch_entry(Shard& shard,
-                                const std::shared_ptr<BatchState>& batch,
-                                std::size_t index,
-                                JobBatchEntryMsg entry) {
-  BatchState& b = *batch;
-  b.result.entries[index] = std::move(entry);
-  if (b.remaining > 0) --b.remaining;
-  if (b.remaining == 0) finalize_batch(shard, b);
-}
-
-void Server::finalize_batch(Shard& shard, BatchState& batch) {
-  Conn* conn = find_conn(shard, batch.conn_id);
-  if (conn == nullptr) return;  // peer vanished; entries are forfeit
-  send_frame(*conn, MsgType::kJobBatchResult,
-             encode_job_batch_result(batch.result, batch.version),
-             batch.version);
-  if (conn->pending_jobs > 0) --conn->pending_jobs;
-  conn->last_activity = std::chrono::steady_clock::now();
 }
 
 namespace {
@@ -664,7 +748,7 @@ void Server::handle_submit_dfg(Shard& shard, Conn& conn,
     return;
   }
   // Compile (or hit the cache) BEFORE the admission stamp inside
-  // admit_job: compile latency must never appear in the job's span
+  // admit: compile latency must never appear in the job's span
   // timeline, and a cache hit costs one hash + map lookup.  The
   // compile service is internally locked — shards share it safely.
   svc::CompileService::Result res;
@@ -678,11 +762,14 @@ void Server::handle_submit_dfg(Shard& shard, Conn& conn,
     return;
   }
   job.trace_id = req.trace_id;
-  const std::size_t samples = req.streams.empty() ? 0
-                                                  : req.streams[0].size();
-  admit_job(shard, conn, std::move(job), req.tag, req.trace_id,
-            frame.version, std::move(res.compiled), samples, res.cache_hit,
-            nullptr, 0);
+  auto request =
+      open_request(conn, req.tag, req.trace_id, frame.version, 1);
+  request->dfg = std::move(res.compiled);
+  request->dfg_samples = req.streams.empty() ? 0 : req.streams[0].size();
+  request->dfg_cache_hit = res.cache_hit;
+  admit(shard,
+        {.parent = std::move(request), .tag = req.tag, .job = std::move(job)},
+        false);
 }
 
 void Server::handle_submit_gemm(Shard& shard, Conn& conn,
@@ -709,11 +796,11 @@ void Server::handle_submit_gemm(Shard& shard, Conn& conn,
                "server is draining", frame.version);
     return;
   }
-  std::shared_ptr<GemmState> state;
+  std::unique_ptr<tile::GemmFold> fold;
   try {
     // The plan cache serves repeated shapes without re-planning; the
     // schedule is immutable and shared across requests and shards.
-    state = std::make_shared<GemmState>(
+    fold = std::make_unique<tile::GemmFold>(
         req.geometry, plan_cache_.get_or_plan(req.spec, req.scratch_tiles),
         std::move(req.a), std::move(req.b), req.scratch_tiles);
   } catch (const SimError& e) {
@@ -723,124 +810,14 @@ void Server::handle_submit_gemm(Shard& shard, Conn& conn,
                frame.version);
     return;
   }
-  state->conn_id = conn.id;
-  state->tag = req.tag;
-  state->version = frame.version;
-  state->trace_id = req.trace_id;
-  state->admitted = std::chrono::steady_clock::now();
-  shard.gemms.push_back(std::move(state));
-  // One logical job from the connection's point of view: the idle
-  // reaper must not cut a peer waiting on a long tile schedule.
-  ++conn.pending_jobs;
+  // One reply entry, one child per tile step.
+  auto request = open_request(conn, req.tag, req.trace_id, frame.version, 1);
+  request->unsettled = fold->steps();
+  request->reply.entries.front().ok = 1;
+  request->gemm = std::move(fold);
+  shard.feeding.push_back(std::move(request));
   counters_.gemm_requests.fetch_add(1, std::memory_order_relaxed);
-  pump_gemms(shard);
-}
-
-void Server::pump_gemms(Shard& shard) {
-  const int wake_fd = shard.wake_w;
-  bool queue_full = false;
-  for (auto& g : shard.gemms) {
-    if (queue_full) break;
-    while (!g->failed && g->next_step < g->sched->steps.size()) {
-      const tile::TileStep step = g->sched->steps[g->next_step];
-      rt::Job job;
-      try {
-        job = g->builder.build(*g->sched, step, g->a, g->b);
-      } catch (const SimError& e) {
-        g->failed = true;
-        g->error = e.what();
-        g->next_step = g->sched->steps.size();
-        break;
-      }
-      job.trace_id = g->trace_id;
-      auto submitted = runtime_->try_submit(std::move(job), [wake_fd] {
-        wake_shard(wake_fd, 'j');
-      });
-      if (submitted.status == rt::Runtime::SubmitStatus::kQueueFull) {
-        // Backpressure: the held step retries on the next poll tick or
-        // tile completion, so one giant GEMM never wedges the loop.
-        queue_full = true;
-        break;
-      }
-      if (submitted.status == rt::Runtime::SubmitStatus::kShutDown) {
-        g->failed = true;
-        g->error = "runtime is shut down";
-        g->next_step = g->sched->steps.size();
-        break;
-      }
-      PendingJob pj;
-      pj.conn_id = g->conn_id;
-      pj.tag = g->tag;
-      pj.result = std::move(submitted.result);
-      pj.trace_id = g->trace_id;
-      pj.job_name = "gemm.tile";
-      pj.version = g->version;
-      pj.admitted = std::chrono::steady_clock::now();
-      pj.gemm = g;
-      pj.gemm_step = step;
-      shard.pending.push_back(std::move(pj));
-      ++g->next_step;
-      ++g->outstanding;
-      counters_.gemm_tile_jobs.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  for (auto it = shard.gemms.begin(); it != shard.gemms.end();) {
-    GemmState& g = **it;
-    if (g.outstanding > 0 ||
-        (!g.failed && g.next_step < g.sched->steps.size())) {
-      ++it;
-      continue;
-    }
-    finalize_gemm(shard, g);
-    it = shard.gemms.erase(it);
-  }
-}
-
-void Server::finalize_gemm(Shard& shard, GemmState& g) {
-  counters_.gemm_scratch_hits.fetch_add(g.scratch.hits(),
-                                        std::memory_order_relaxed);
-  counters_.gemm_scratch_refills.fetch_add(g.scratch.refills(),
-                                           std::memory_order_relaxed);
-  counters_.gemm_bytes_filled.fetch_add(g.scratch.bytes_filled(),
-                                        std::memory_order_relaxed);
-  counters_.gemm_bytes_saved.fetch_add(g.scratch.bytes_saved(),
-                                       std::memory_order_relaxed);
-
-  const auto now = std::chrono::steady_clock::now();
-  Conn* conn = find_conn(shard, g.conn_id);
-  if (conn != nullptr) {
-    if (!g.failed) {
-      JobResultMsg msg;
-      msg.tag = g.tag;
-      msg.outputs = tile::narrow_grid(g.sched->spec, g.acc);
-      msg.sim_cycles = g.sim_cycles;
-      msg.worker = g.last_worker;
-      msg.reused_system = g.any_reused ? 1 : 0;
-      msg.counters = {
-          {"sim.cycles", g.sim_cycles},
-          {"tile.jobs", g.sched->steps.size()},
-          {"tile.scratch.hits", g.scratch.hits()},
-          {"tile.scratch.refills", g.scratch.refills()},
-          {"tile.scratch.evictions", g.scratch.evictions()},
-          {"tile.scratch.bytes_filled", g.scratch.bytes_filled()},
-          {"tile.scratch.bytes_saved", g.scratch.bytes_saved()},
-          {"tile.streamed_bytes", g.sched->streamed_bytes},
-      };
-      msg.trace_id = g.trace_id;
-      msg.total_us = clamp_u32(us_between(g.admitted, now));
-      send_frame(*conn, MsgType::kJobResult,
-                 encode_job_result(msg, g.version), g.version);
-    } else {
-      send_error(*conn, g.tag, ErrorCode::kJobFailed, g.error, g.version);
-    }
-    if (conn->pending_jobs > 0) --conn->pending_jobs;
-    conn->last_activity = now;
-  }
-  if (g.failed) {
-    counters_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    counters_.jobs_completed.fetch_add(1, std::memory_order_relaxed);
-  }
+  feed(shard);
 }
 
 void Server::handle_frame(Shard& shard, Conn& conn, const Frame& frame) {
@@ -924,7 +901,7 @@ void Server::drain_input(Shard& shard, Conn& conn) {
     // fill of in-flight work.  The unparsed bytes stay buffered (and,
     // past the socket buffer, TCP backpressure holds the peer);
     // parsing resumes as completions free the window.
-    if (conn.pending_jobs >= config_.pipeline_window) break;
+    if (conn.pending_jobs >= kPipelineWindow) break;
     Frame frame;
     std::size_t consumed = 0;
     const auto view = std::span<const std::uint8_t>(conn.in).subspan(offset);
@@ -1019,145 +996,35 @@ void Server::adopt_inbox(Shard& shard) {
 }
 
 void Server::collect_completions(Shard& shard) {
-  const auto now = std::chrono::steady_clock::now();
-  for (auto it = shard.pending.begin(); it != shard.pending.end();) {
+  const bool timed = obs::telemetry_enabled();
+  for (auto it = shard.running.begin(); it != shard.running.end();) {
     if (it->result.wait_for(std::chrono::seconds(0)) !=
         std::future_status::ready) {
       ++it;
       continue;
     }
-    rt::JobResult result = it->result.get();
-    if (it->gemm != nullptr) {
-      // Tile job of a v4 GEMM: fold into the state's accumulator, no
-      // per-tile reply.  The single response leaves via finalize_gemm
-      // once every tile has landed (pump_gemms runs right after this
-      // sweep — never during it, since it push_backs into pending).
-      GemmState& g = *it->gemm;
-      if (g.outstanding > 0) --g.outstanding;
-      if (!result.ok) {
-        if (!g.failed) {
-          g.failed = true;
-          g.error = result.error;
-        }
-        g.next_step = g.sched->steps.size();  // abandon unsubmitted tiles
-      } else if (!g.failed) {
-        try {
-          tile::accumulate_tile(*g.sched, it->gemm_step, result.outputs,
-                                g.acc);
-          g.sim_cycles += result.report.stats.cycles;
-          g.last_worker = static_cast<std::uint32_t>(result.worker);
-          g.any_reused = g.any_reused || result.reused_system;
-        } catch (const SimError& e) {
-          // Output shape the schedule does not expect — a server bug,
-          // not a client one; fail the request without crashing.
-          g.failed = true;
-          g.error = e.what();
-          g.next_step = g.sched->steps.size();
-        }
-      }
-      if (obs::telemetry_enabled()) {
-        record_completion(shard, *it, result, 0,
-                          std::chrono::steady_clock::now());
-      }
-      it = shard.pending.erase(it);
-      continue;
-    }
-    if (it->batch != nullptr) {
-      // Entry of a v5 batch: settle it; the one reply leaves when the
-      // last entry lands.
-      JobBatchEntryMsg entry;
-      if (result.ok) {
-        entry.ok = 1;
-        entry.result = make_job_result_msg(it->tag, result);
-        counters_.jobs_completed.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        entry.ok = 0;
-        entry.error.tag = it->tag;
-        entry.error.code = ErrorCode::kJobFailed;
-        entry.error.message = result.error;
-        counters_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (obs::telemetry_enabled()) {
-        record_completion(shard, *it, result, 0,
-                          std::chrono::steady_clock::now());
-      }
-      auto batch = std::move(it->batch);
-      const std::size_t index = it->batch_index;
-      it = shard.pending.erase(it);
-      settle_batch_entry(shard, batch, index, std::move(entry));
-      continue;
-    }
-    Conn* conn = find_conn(shard, it->conn_id);
-    const bool timed = obs::telemetry_enabled();
-    std::uint64_t serialize_us = 0;
-    if (conn != nullptr) {
-      const auto s0 = timed ? std::chrono::steady_clock::now()
-                            : std::chrono::steady_clock::time_point{};
-      if (result.ok) {
-        JobResultMsg msg = make_job_result_msg(it->tag, result);
-        bool deliver = true;
-        if (it->dfg != nullptr) {
-          // DFG job: de-lace the raw fleet words into per-output
-          // streams, concatenated in Dfg output order.  The appended
-          // counters tell the client how to split the flat words back.
-          try {
-            const auto streams = svc::delace_outputs(
-                *it->dfg, result.outputs, it->dfg_samples);
-            msg.outputs.clear();
-            for (const auto& s : streams) {
-              msg.outputs.insert(msg.outputs.end(), s.begin(), s.end());
-            }
-            msg.counters.emplace_back("svc.dfg.outputs", streams.size());
-            msg.counters.emplace_back("svc.dfg.samples", it->dfg_samples);
-            msg.counters.emplace_back("svc.dfg.cache_hit",
-                                      it->dfg_cache_hit ? 1 : 0);
-            msg.counters.emplace_back("svc.dfg.hash", it->dfg->dfg_hash);
-          } catch (const SimError& e) {
-            // Raw stream shorter than the program promises — a server
-            // bug, not a client one; answer it without crashing.
-            send_error(*conn, it->tag, ErrorCode::kInternal, e.what(),
-                       it->version);
-            deliver = false;
-          }
-        }
-        if (deliver) {
-          send_frame(*conn, MsgType::kJobResult,
-                     encode_job_result(msg, it->version), it->version);
-        }
-      } else {
-        // SimError text travels verbatim; the client re-raises it.
-        send_error(*conn, it->tag, ErrorCode::kJobFailed, result.error,
-                   it->version);
-      }
-      if (timed) {
-        serialize_us = us_between(s0, std::chrono::steady_clock::now());
-      }
-      if (conn->pending_jobs > 0) --conn->pending_jobs;
-      conn->last_activity = now;
-    }
-    if (result.ok) {
-      counters_.jobs_completed.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      counters_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
-    }
+    const rt::JobResult result = it->result.get();
+    const auto s0 = timed ? std::chrono::steady_clock::now()
+                          : std::chrono::steady_clock::time_point{};
+    settle(shard, *it, &result, {});
     if (timed) {
-      record_completion(shard, *it, result, serialize_us,
-                        std::chrono::steady_clock::now());
+      const auto done = std::chrono::steady_clock::now();
+      record_completion(shard, *it, result, us_between(s0, done), done);
     }
-    it = shard.pending.erase(it);
+    it = shard.running.erase(it);
   }
 }
 
 void Server::record_completion(
-    Shard& shard, const PendingJob& pending, const rt::JobResult& result,
+    Shard& shard, const Child& child, const rt::JobResult& result,
     std::uint64_t serialize_us,
     std::chrono::steady_clock::time_point done) {
   const obs::SpanTimeline& tl = result.timeline;
-  const std::uint64_t e2e = us_between(pending.admitted, done);
+  const std::uint64_t e2e = us_between(child.admitted, done);
 
   obs::SpanRecord rec;
-  rec.trace_id = pending.trace_id;
-  rec.name = pending.job_name;
+  rec.trace_id = result.trace_id;
+  rec.name = child.name;
   rec.ok = result.ok;
   rec.error = result.error;
   rec.worker = static_cast<std::uint32_t>(result.worker);
@@ -1167,7 +1034,7 @@ void Server::record_completion(
           result.report.metrics.find_counter("ring.superstep.cycles")) {
     rec.superstep_cycles = c->value();
   }
-  rec.start_offset_us = us_between(start_time_, pending.admitted);
+  rec.start_offset_us = us_between(start_time_, child.admitted);
   rec.queue_wait_us = clamp_u32(tl.queue_wait_us());
   rec.arm_us = clamp_u32(tl.arm_us());
   rec.execute_us = clamp_u32(tl.execute_us());
@@ -1230,7 +1097,7 @@ void Server::shard_loop(Shard& shard) {
                        [](const Conn& c) { return c.fd < 0; }),
         shard.conns.end());
 
-    if (draining && shard.pending.empty() && shard.gemms.empty() &&
+    if (draining && shard.running.empty() && shard.feeding.empty() &&
         shard.deferred.empty()) {
       // In-flight work answered; flush what remains and finish.
       const auto flush_now = std::chrono::steady_clock::now();
@@ -1292,13 +1159,13 @@ void Server::shard_loop(Shard& shard) {
     }
     adopt_inbox(shard);  // a handoff may have arrived with the wake
     collect_completions(shard);
-    pump_gemms(shard);
+    feed(shard);
     pump_deferred(shard);
     // Completions freed pipeline windows: resume parsing connections
     // whose buffers still hold frames.
     for (auto& conn : shard.conns) {
       if (conn.fd < 0 || conn.closing || conn.in.empty()) continue;
-      if (conn.pending_jobs < config_.pipeline_window) {
+      if (conn.pending_jobs < kPipelineWindow) {
         drain_input(shard, conn);
       }
     }
@@ -1314,7 +1181,8 @@ void Server::shard_loop(Shard& shard) {
       if (conn == nullptr) continue;
       const short revents = fds[at].revents;
       if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
-        // Peer vanished: pending jobs still run, results are dropped.
+        // Peer vanished: its running children finish and their results
+        // are dropped; the rest are cancelled on the next feed/pump.
         close_conn(*conn);
         continue;
       }
@@ -1447,6 +1315,7 @@ obs::Registry Server::metrics() const {
   out.counter("net.jobs.submitted").set(get(counters_.jobs_submitted));
   out.counter("net.jobs.completed").set(get(counters_.jobs_completed));
   out.counter("net.jobs.failed").set(get(counters_.jobs_failed));
+  out.counter("net.jobs.cancelled").set(get(counters_.jobs_cancelled));
   out.counter("net.drains").set(get(counters_.drains));
   out.counter("net.admission.accepted")
       .set(get(counters_.admission_accepted));

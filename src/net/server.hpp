@@ -63,12 +63,6 @@ struct ServerConfig {
   /// single-poll-loop server exactly.
   std::size_t shards = 1;
 
-  /// Per-connection in-flight window: how many admitted-but-unanswered
-  /// jobs one pipelined connection may accumulate before the shard
-  /// stops parsing its buffer (bytes stay queued; TCP backpressure
-  /// does the rest).  Parsing resumes as completions drain the window.
-  std::size_t pipeline_window = 32;
-
   // --- queue-depth admission watermarks (net.admission.*) ---
   // Replaces the binary full/not-full Busy shed: below the low
   // watermark jobs are admitted immediately; between low and high they
@@ -93,10 +87,6 @@ struct ServerConfig {
   /// DFG compile service shape (cache capacity, validation depth).
   svc::CompileServiceConfig compile;
 
-  /// Tile-schedule cache: repeated (GemmSpec, scratch capacity) pairs
-  /// skip re-planning (tile.plan.hits / misses / evictions).
-  std::size_t plan_cache_capacity = 32;
-
   /// Idle cutoff for a connection with no pending jobs; activity on
   /// the socket or a job completion resets it.  Also applies to
   /// closing connections still waiting for their output to flush, so
@@ -113,12 +103,9 @@ struct ServerConfig {
 
   /// Rolling-sampler period; the poll loops tick at least this often.
   std::chrono::milliseconds sample_interval{1000};
-  std::size_t sampler_capacity = 128;  ///< delta points kept
 
-  /// Flight recorder: last-N completions ring, pinned slow/error ring,
-  /// and the e2e threshold past which a job counts as slow.
-  std::size_t flight_recent = 64;
-  std::size_t flight_captured = 64;
+  /// Flight recorder: the e2e threshold past which a job counts as
+  /// slow and is pinned in the captured ring.
   std::uint64_t slow_threshold_us = 100'000;
 
   /// When set, the captured flight records are dumped as JSONL to this
@@ -174,9 +161,8 @@ class Server {
     std::vector<std::uint8_t> in;
     std::vector<std::uint8_t> out;
     std::size_t out_pos = 0;
-    /// Logical in-flight requests (queued jobs, deferred admissions,
-    /// whole GEMMs/batches) — the pipelining window and the idle
-    /// reaper both key off it.
+    /// Requests in flight (one per reply owed, however many children
+    /// it has) — the pipelining window and the idle reaper key off it.
     std::size_t pending_jobs = 0;
     bool closing = false;  ///< close once out drains
     std::chrono::steady_clock::time_point last_activity;
@@ -185,98 +171,45 @@ class Server {
     std::uint16_t version = kProtocolVersion;
   };
 
-  /// One in-flight tiled GEMM (v4): the server-side analogue of
-  /// tile::run_gemm, unrolled into the shard loop so the tile jobs of
-  /// many clients interleave on the fleet.  Tile completions fold into
-  /// `acc` in whatever order they land (wrapping adds are
-  /// order-independent — see tile/gemm_ref.hpp), and the single
-  /// JobResult reply goes out once the last tile has been folded.
-  /// The schedule is shared with (and may outlive) the plan cache.
-  struct GemmState {
+  /// One reply owed to one connection: a SubmitJob/SubmitDfgJob (one
+  /// child), a v5 batch (one child per entry) or a v4 GEMM (one child
+  /// per tile step).  Children settle into it in any order; the reply
+  /// leaves when the last one has settled.
+  struct Request {
     std::uint64_t conn_id = 0;
     std::uint32_t tag = 0;
-    std::uint16_t version = kProtocolVersion;
-    std::uint64_t trace_id = 0;
-    std::chrono::steady_clock::time_point admitted;  ///< e2e epoch
-
-    std::shared_ptr<const tile::TileSchedule> sched;
-    std::vector<Word> a, b;
-    tile::Scratchpad scratch;
-    tile::GemmJobBuilder builder;  ///< holds a reference to `scratch`
-    std::vector<Word> acc;         ///< m*n wrapping accumulator grid
-
-    std::size_t next_step = 0;    ///< first un-submitted schedule step
-    std::size_t outstanding = 0;  ///< tile jobs currently pending
-    std::uint64_t sim_cycles = 0;
-    std::uint32_t last_worker = 0;
-    bool any_reused = false;
-    bool failed = false;
-    std::string error;  ///< first tile failure, verbatim
-
-    GemmState(const RingGeometry& geometry,
-              std::shared_ptr<const tile::TileSchedule> schedule,
-              std::vector<Word> a_in, std::vector<Word> b_in,
-              std::size_t scratch_tiles)
-        : sched(std::move(schedule)),
-          a(std::move(a_in)),
-          b(std::move(b_in)),
-          scratch(scratch_tiles),
-          builder(geometry, scratch),
-          acc(sched->spec.m * sched->spec.n, 0) {}
-  };
-
-  /// One in-flight v5 SubmitJobBatch: entries settle independently
-  /// (admission errors inline, completions as they land, deferred
-  /// sheds at their deadline) and the single JobBatchResult reply goes
-  /// out when the last entry has settled.
-  struct BatchState {
-    std::uint64_t conn_id = 0;
-    std::uint16_t version = kProtocolVersion;
-    std::uint64_t trace_id = 0;
-    std::chrono::steady_clock::time_point admitted;
-    JobBatchResultMsg result;   ///< tag + entries, filled as they settle
-    std::size_t remaining = 0;  ///< unsettled entries
-  };
-
-  struct PendingJob {
-    std::uint64_t conn_id = 0;
-    std::uint32_t tag = 0;
-    std::future<rt::JobResult> result;
-    std::uint64_t trace_id = 0;
-    std::string job_name;        ///< for the flight recorder
     std::uint16_t version = kProtocolVersion;  ///< reply frame version
-    std::chrono::steady_clock::time_point admitted;  ///< e2e epoch
+    std::uint64_t trace_id = 0;
+    std::chrono::steady_clock::time_point admitted;  ///< receive stamp
+    std::size_t unsettled = 0;  ///< children not yet settled
+
+    /// The fold.  Jobs and batches fill one entry per child; a single
+    /// job's entry and a GEMM's (whose first failure lands in it) are
+    /// sent unwrapped, a batch's as one JobBatchResult.
+    bool batch = false;
+    JobBatchResultMsg reply;
     /// Set for DFG jobs: the raw fleet outputs are de-laced through the
     /// compiled program's output metadata before the reply is encoded.
     std::shared_ptr<const svc::CompiledDfg> dfg;
     std::size_t dfg_samples = 0;
     bool dfg_cache_hit = false;
-    /// Set for tile jobs of a v4 GEMM: the completion folds into the
-    /// state's accumulator instead of answering the client directly.
-    std::shared_ptr<GemmState> gemm;
-    tile::TileStep gemm_step{};
-    /// Set for entries of a v5 batch: the completion settles one entry
-    /// of the batch result instead of answering directly.
-    std::shared_ptr<BatchState> batch;
-    std::size_t batch_index = 0;
+    /// Set for GEMMs, whose children are built lazily in schedule order.
+    std::unique_ptr<tile::GemmFold> gemm;
+    std::size_t next_step = 0;  ///< first child not yet created
+    bool cancelled = false;     ///< the peer left before every tile ran
   };
 
-  /// A job parked between the admission watermarks: the shard retries
-  /// it on every tick/wake and sheds Busy past its deadline.
-  struct DeferredJob {
-    std::uint64_t conn_id = 0;
-    std::uint32_t tag = 0;
-    rt::Job job;
-    std::uint64_t trace_id = 0;
-    std::string job_name;
-    std::uint16_t version = kProtocolVersion;
-    std::chrono::steady_clock::time_point admitted;  ///< receive stamp
-    std::chrono::steady_clock::time_point deadline;
-    std::shared_ptr<const svc::CompiledDfg> dfg;
-    std::size_t dfg_samples = 0;
-    bool dfg_cache_hit = false;
-    std::shared_ptr<BatchState> batch;
-    std::size_t batch_index = 0;
+  /// One fleet job of a request, from admission until it settles:
+  /// parked between the watermarks (`job` held) or running (`result`).
+  struct Child {
+    std::shared_ptr<Request> parent;
+    std::size_t index = 0;  ///< batch entry or schedule step
+    std::uint32_t tag = 0;  ///< the entry's own tag inside a batch
+    rt::Job job{};
+    std::string name{};  ///< for the flight recorder
+    std::future<rt::JobResult> result{};
+    std::chrono::steady_clock::time_point admitted{};  ///< e2e epoch
+    std::chrono::steady_clock::time_point deadline{};  ///< while parked
   };
 
   /// One event-loop shard: its own poll loop, connections, in-flight
@@ -289,9 +222,10 @@ class Server {
     int wake_w = -1;
 
     std::deque<Conn> conns;
-    std::vector<PendingJob> pending;
-    std::vector<std::shared_ptr<GemmState>> gemms;
-    std::deque<DeferredJob> deferred;
+    std::vector<Child> running;  ///< on the fleet
+    std::deque<Child> deferred;  ///< parked between the watermarks
+    /// GEMMs with tile steps still to create.
+    std::vector<std::shared_ptr<Request>> feeding;
 
     /// Accepted fds handed off by shard 0; adopted at the loop top.
     std::mutex inbox_mu;
@@ -309,12 +243,6 @@ class Server {
     obs::Registry latency;
   };
 
-  enum class FleetSubmit : std::uint8_t {
-    kAccepted = 0,
-    kQueueFull,
-    kShutDown
-  };
-
   void send_frame(Conn& conn, MsgType type,
                   std::span<const std::uint8_t> payload,
                   std::uint16_t version);
@@ -327,44 +255,36 @@ class Server {
   void handle_submit_dfg(Shard& shard, Conn& conn, const Frame& frame);
   void handle_compile_dfg(Conn& conn, const Frame& frame);
   void handle_submit_gemm(Shard& shard, Conn& conn, const Frame& frame);
-  /// Submit as many un-queued tile steps as the fleet will take (a
-  /// full queue stops the pump; held steps retry on the next tick),
-  /// then finalize every GEMM whose last tile has landed.  Never
-  /// called while collect_completions() iterates pending.
-  void pump_gemms(Shard& shard);
-  void finalize_gemm(Shard& shard, GemmState& gemm);
-  /// Watermark admission shared by every submit path: accept below
-  /// low, defer between low and high, shed at or above high.  Batch
-  /// entries settle into `batch` instead of answering directly.
-  void admit_job(Shard& shard, Conn& conn, rt::Job job, std::uint32_t tag,
-                 std::uint64_t trace_id, std::uint16_t version,
-                 std::shared_ptr<const svc::CompiledDfg> dfg,
-                 std::size_t dfg_samples, bool dfg_cache_hit,
-                 std::shared_ptr<BatchState> batch,
-                 std::size_t batch_index);
-  /// Low-level fleet submit: on kAccepted registers `meta` (with its
-  /// future) in shard.pending and bumps the counters.
-  FleetSubmit submit_pending(Shard& shard, Conn* conn, rt::Job job,
-                             PendingJob meta);
-  /// Busy-shed one job: Error{kBusy, retry_after_ms} to the peer, or
-  /// the equivalent settled batch entry.
-  void shed_job(Shard& shard, Conn* conn, std::uint32_t tag,
-                std::uint16_t version,
-                const std::shared_ptr<BatchState>& batch,
-                std::size_t batch_index);
-  /// Retry deferred jobs (immediately when the depth fell below low or
-  /// the deadline/drain forces the attempt), shedding Busy on a still
-  /// full queue past the deadline.
+  /// Opens a request of `children` children and takes its hold on the
+  /// connection's pipelining window.
+  std::shared_ptr<Request> open_request(Conn& conn, std::uint32_t tag,
+                                        std::uint64_t trace_id,
+                                        std::uint16_t version,
+                                        std::size_t children);
+  /// The one admission gate.  Job children pass the watermarks: accept
+  /// below low, defer between low and high, shed at or above high (a
+  /// `parked` child skips them: its one retry submits or sheds).  GEMM
+  /// tiles skip them too and wait on a full queue; false means the
+  /// tile was not taken and its step must be created again.
+  bool admit(Shard& shard, Child child, bool parked);
+  /// Folds one child into its request: the fleet result `ran`, or else
+  /// the refusal `error`.  The last settled child finishes the request.
+  void settle(Shard& shard, Child& child, const rt::JobResult* ran,
+              ErrorMsg error);
+  /// Sends the request's one reply and releases its window hold; a
+  /// vanished peer gets nothing.
+  void finish(Shard& shard, Request& req);
+  /// Counts `n` never-submitted children of `req` as cancelled.
+  void cancel(Shard& shard, Request& req, std::size_t n);
+  /// Creates and admits GEMM tile children until the queue fills, and
+  /// cancels the remaining steps of a GEMM whose peer has left.
+  void feed(Shard& shard);
+  /// Retry deferred children (immediately when the depth fell below
+  /// low, or forced at the deadline), dropping those of vanished peers.
   void pump_deferred(Shard& shard);
-  /// Record one settled batch entry; sends the JobBatchResult when the
-  /// last entry lands.
-  void settle_batch_entry(Shard& shard,
-                          const std::shared_ptr<BatchState>& batch,
-                          std::size_t index, JobBatchEntryMsg entry);
-  void finalize_batch(Shard& shard, BatchState& batch);
   /// Fold one finished job into the shard's latency histograms + the
   /// server-wide flight recorder.
-  void record_completion(Shard& shard, const PendingJob& pending,
+  void record_completion(Shard& shard, const Child& child,
                          const rt::JobResult& result,
                          std::uint64_t serialize_us,
                          std::chrono::steady_clock::time_point done);
@@ -416,6 +336,8 @@ class Server {
     std::atomic<std::uint64_t> jobs_submitted{0};
     std::atomic<std::uint64_t> jobs_completed{0};
     std::atomic<std::uint64_t> jobs_failed{0};
+    /// Children never submitted: the peer left, or their GEMM failed.
+    std::atomic<std::uint64_t> jobs_cancelled{0};
     std::atomic<std::uint64_t> drains{0};
     // Watermark admission (net.admission.*): accepted/shed are final
     // outcomes (every job-class admission ends in exactly one of

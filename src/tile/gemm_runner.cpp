@@ -35,45 +35,64 @@ std::vector<Word> narrow_grid(const GemmSpec& spec,
   return out;
 }
 
-GemmResult run_gemm(rt::Runtime& rt, const GemmRunConfig& cfg,
-                    const GemmSpec& spec, std::span<const Word> a,
-                    std::span<const Word> b) {
+GemmFold::GemmFold(const RingGeometry& geometry,
+                   std::shared_ptr<const TileSchedule> schedule,
+                   std::vector<Word> a, std::vector<Word> b,
+                   std::size_t scratch_tiles)
+    : sched_(std::move(schedule)),
+      a_(std::move(a)),
+      b_(std::move(b)),
+      scratch_(scratch_tiles),
+      builder_(geometry, scratch_),
+      acc_(sched_->spec.m * sched_->spec.n, 0) {}
+
+rt::Job GemmFold::build(std::size_t i) {
+  return builder_.build(*sched_, sched_->steps[i], a_, b_);
+}
+
+void GemmFold::fold(std::size_t i, const rt::JobResult& result) {
+  accumulate_tile(*sched_, sched_->steps[i], result.outputs, acc_);
+  sim_cycles_ += result.report.stats.cycles;
+}
+
+GemmResult GemmFold::result() const {
   GemmResult res;
-  res.schedule = plan_gemm(spec, cfg.scratch_tiles);
-
-  Scratchpad scratch(cfg.scratch_tiles);
-  GemmJobBuilder builder(cfg.geometry, scratch);
-
-  std::vector<rt::Job> jobs;
-  jobs.reserve(res.schedule.steps.size());
-  for (const TileStep& step : res.schedule.steps) {
-    jobs.push_back(builder.build(res.schedule, step, a, b));
-  }
-
-  const std::vector<rt::JobResult> results =
-      rt.submit_batch(std::move(jobs));
-
-  std::vector<Word> acc(spec.m * spec.n, 0);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const rt::JobResult& r = results[i];
-    check(r.ok, "tile: tile job failed: " + r.error);
-    accumulate_tile(res.schedule, res.schedule.steps[i], r.outputs, acc);
-    res.sim_cycles += r.report.stats.cycles;
-  }
-  res.c = narrow_grid(spec, acc);
-
-  res.jobs = results.size();
-  res.scratch_hits = scratch.hits();
-  res.scratch_refills = scratch.refills();
-  res.scratch_evictions = scratch.evictions();
-  res.bytes_filled = scratch.bytes_filled();
-  res.bytes_saved = scratch.bytes_saved();
+  res.c = narrow_grid(sched_->spec, acc_);
+  res.schedule = *sched_;
+  res.jobs = steps();
+  res.sim_cycles = sim_cycles_;
+  res.scratch_hits = scratch_.hits();
+  res.scratch_refills = scratch_.refills();
+  res.scratch_evictions = scratch_.evictions();
+  res.bytes_filled = scratch_.bytes_filled();
+  res.bytes_saved = scratch_.bytes_saved();
   res.traffic_reduction =
       res.bytes_filled > 0
           ? static_cast<double>(res.schedule.streamed_bytes) /
                 static_cast<double>(res.bytes_filled)
           : 1.0;
   return res;
+}
+
+GemmResult run_gemm(rt::Runtime& rt, const GemmRunConfig& cfg,
+                    const GemmSpec& spec, std::span<const Word> a,
+                    std::span<const Word> b) {
+  GemmFold fold(cfg.geometry,
+                std::make_shared<const TileSchedule>(
+                    plan_gemm(spec, cfg.scratch_tiles)),
+                {a.begin(), a.end()}, {b.begin(), b.end()},
+                cfg.scratch_tiles);
+  std::vector<rt::Job> jobs;
+  jobs.reserve(fold.steps());
+  for (std::size_t i = 0; i < fold.steps(); ++i) jobs.push_back(fold.build(i));
+
+  const std::vector<rt::JobResult> results =
+      rt.submit_batch(std::move(jobs));
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    check(results[i].ok, "tile: tile job failed: " + results[i].error);
+    fold.fold(i, results[i]);
+  }
+  return fold.result();
 }
 
 GemmResult run_conv2d(rt::Runtime& rt, const GemmRunConfig& cfg,

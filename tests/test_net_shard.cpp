@@ -2,9 +2,11 @@
 // totals match the single-shard server, pipelined frames correlate by
 // tag with per-frame version mirroring, SubmitJobBatch round-trips
 // bit-exact, malformed bytes mid-burst cost exactly one connection,
-// drain completes queued frames, and the queue-depth watermarks
-// accept/defer/shed with the retry_after_ms hint.  Every socket
-// carries a receive deadline so a regression fails instead of hanging.
+// drain completes queued frames, the queue-depth watermarks
+// accept/defer/shed with the retry_after_ms hint, and the admission
+// counters obey their conservation laws across peers that hang up.
+// Every socket carries a receive deadline so a regression fails
+// instead of hanging.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -26,6 +28,8 @@
 #include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "rt/runtime.hpp"
+#include "tile/gemm_ref.hpp"
+#include "tile/tile_plan.hpp"
 
 namespace sring::net {
 namespace {
@@ -160,6 +164,18 @@ std::vector<Word> local_outputs(const JobRequest& req) {
 std::uint64_t counter(const obs::Registry& m, const std::string& name) {
   const obs::Counter* c = m.find_counter(name);
   return c == nullptr ? 0 : c->value();
+}
+
+/// Polls `holds` until it is true or 10 s pass; false on the deadline.
+template <typename Pred>
+bool eventually(Pred holds) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!holds()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -375,7 +391,9 @@ TEST(NetShard, DrainCompletesQueuedFramesBeforeClosing) {
   raw.send_all(wire);
 
   // Let the shard parse and admit the burst, then drain mid-flight.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_TRUE(eventually([&] {
+    return counter(ts.server.metrics(), "net.jobs.submitted") == kBurst;
+  }));
   ts.server.request_drain();
 
   std::size_t results = 0;
@@ -593,6 +611,86 @@ TEST(NetShard, ExplicitWatermarksShedLegacyBytesForV1Clients) {
     ++busy;
   }
   EXPECT_GE(busy, 1u);
+}
+
+// The counter laws of docs/OBSERVABILITY.md on the watermark shape
+// above, each exercised by a peer that hangs up mid-flight:
+// (a) every job child that reaches admission ends in exactly one of
+//     accepted, shed, a shutdown refusal or cancelled;
+// (b) every tile step of a GEMM is either submitted or cancelled.
+TEST(NetShard, CounterLawsHoldAcrossHangUps) {
+  ServerConfig scfg;
+  scfg.runtime.workers = 1;
+  scfg.runtime.queue_capacity = 2;
+  scfg.admission_max_delay = std::chrono::milliseconds(1);
+  scfg.retry_after_hint_ms = 7;
+  TestServer ts(scfg);
+
+  // Law (a): a fat burst and a batch of fat entries, then hang up.
+  constexpr std::uint32_t kBurst = 8;
+  constexpr std::uint32_t kBatch = 4;
+  {
+    std::vector<std::uint8_t> wire;
+    JobRequest req = fat_fir();
+    SubmitJobBatchMsg batch;
+    batch.tag = 100;
+    for (std::uint32_t tag = 1; tag <= kBurst + kBatch; ++tag) {
+      req.tag = tag;
+      if (tag <= kBurst) {
+        append_frame(wire, MsgType::kSubmitJob, encode_job_request(req));
+      } else {
+        batch.jobs.push_back(req);
+      }
+    }
+    append_frame(wire, MsgType::kSubmitJobBatch,
+                 encode_submit_job_batch(batch));
+    RawConn raw(ts.server.port());
+    raw.send_all(wire);
+  }
+  // Outcomes other than cancellation, which GEMM tiles share.
+  const auto admission_outcomes = [](const obs::Registry& m) {
+    return counter(m, "net.admission.accepted") +
+           counter(m, "net.admission.shed") +
+           counter(m, "net.rejects.shutdown");
+  };
+  EXPECT_TRUE(eventually([&] {
+    const auto m = ts.server.metrics();
+    return admission_outcomes(m) + counter(m, "net.jobs.cancelled") >=
+           kBurst + kBatch;
+  }));
+  const std::uint64_t jobs_cancelled =
+      counter(ts.server.metrics(), "net.jobs.cancelled");
+
+  // Law (b): a 128^3 GEMM (4096 tile steps), then hang up.
+  SubmitGemmMsg gemm;
+  gemm.tag = 200;
+  gemm.spec.m = gemm.spec.k = gemm.spec.n = 128;
+  gemm.geometry = kGeom;
+  gemm.a = tile::random_operand(128 * 128, gemm.spec.dtype, 31);
+  gemm.b = tile::random_operand(128 * 128, gemm.spec.dtype, 32);
+  const std::uint64_t steps =
+      tile::plan_gemm(gemm.spec, gemm.scratch_tiles).steps.size();
+  {
+    std::vector<std::uint8_t> wire;
+    append_frame(wire, MsgType::kSubmitGemm, encode_submit_gemm(gemm));
+    RawConn raw(ts.server.port());
+    raw.send_all(wire);
+  }
+  const auto tile_outcomes = [&](const obs::Registry& m) {
+    return counter(m, "net.gemm.tile_jobs") +
+           counter(m, "net.jobs.cancelled") - jobs_cancelled;
+  };
+  EXPECT_TRUE(
+      eventually([&] { return tile_outcomes(ts.server.metrics()) >= steps; }));
+
+  ts.stop();
+  const auto m = ts.server.metrics();
+  EXPECT_EQ(admission_outcomes(m) + jobs_cancelled, kBurst + kBatch);
+  EXPECT_EQ(tile_outcomes(m), steps);
+  EXPECT_LT(counter(m, "net.gemm.tile_jobs"), steps)
+      << "the GEMM fan-out outlived its peer";
+  EXPECT_EQ(counter(m, "net.jobs.submitted"),
+            counter(m, "net.admission.accepted"));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 // net server (protocol v4): a submitted GEMM is planned, staged and
 // executed server-side, bit-exact to both the local tile runner and
 // the scalar reference; the reply carries the scratchpad behaviour;
-// pre-v4 clients are refused the new message type; and a lowering
-// failure answers kBadRequest with the connection surviving.
+// pre-v4 clients are refused the new message type; a lowering
+// failure answers kBadRequest with the connection surviving; and a
+// peer that hangs up cancels the tile steps not yet submitted.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -11,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -182,6 +184,38 @@ TEST(TileServe, ServedGemmBitExactAgainstLocalAndReference) {
   EXPECT_EQ(m.find_counter("net.jobs.completed")->value(), 3u);
 }
 
+// Backpressure stretches a GEMM without changing its counters: on a
+// one-deep queue most tile steps find the queue full, and the reply's
+// scratchpad counters still equal the local run's.
+TEST(TileServe, BackpressuredGemmCountersMatchLocal) {
+  ServerConfig scfg;
+  scfg.runtime.workers = 1;
+  scfg.runtime.queue_capacity = 1;
+  TestServer ts(scfg);
+  Client client(client_config(ts.server.port()));
+
+  tile::GemmSpec spec;
+  spec.m = spec.k = spec.n = 24;
+  const auto a = tile::random_operand(spec.m * spec.k, spec.dtype, 41);
+  const auto b = tile::random_operand(spec.k * spec.n, spec.dtype, 42);
+  constexpr std::size_t kScratchTiles = 4;  // LRU order matters
+  const RemoteGemmResult remote =
+      client.submit_gemm(spec, a, b, kGeom, kScratchTiles);
+  ASSERT_TRUE(remote.ok) << remote.error;
+
+  rt::RuntimeConfig rcfg;
+  rcfg.workers = 1;
+  rt::Runtime local(rcfg);
+  const tile::GemmResult direct =
+      tile::run_gemm(local, {kGeom, kScratchTiles}, spec, a, b);
+  EXPECT_EQ(remote.c, direct.c);
+  EXPECT_EQ(remote.counter("tile.scratch.hits"), direct.scratch_hits);
+  EXPECT_EQ(remote.counter("tile.scratch.refills"), direct.scratch_refills);
+  EXPECT_EQ(remote.counter("tile.scratch.evictions"),
+            direct.scratch_evictions);
+  EXPECT_EQ(remote.counter("tile.scratch.bytes_saved"), direct.bytes_saved);
+}
+
 TEST(TileServe, GemmInterleavesWithPlainJobsOnOneConnection) {
   ServerConfig scfg;
   scfg.runtime.workers = 2;
@@ -263,6 +297,65 @@ TEST(TileServe, UnlowerableGeometryAnswersBadRequestAndSurvives) {
   const RemoteGemmResult ok = client.submit_gemm(spec, a, b, kGeom);
   ASSERT_TRUE(ok.ok) << ok.error;
   EXPECT_EQ(ok.c, tile::gemm_reference(spec, a, b));
+}
+
+// A peer that sends a 512^3 GEMM (262,144 tile steps, tens of seconds
+// on one worker) and hangs up leaves nothing for the fleet: the steps
+// not yet submitted are cancelled, drain returns promptly, and the next
+// client is served bit-exact.
+TEST(TileServe, HangUpCancelsUnsubmittedTiles) {
+  ServerConfig scfg;
+  scfg.runtime.workers = 1;
+  scfg.runtime.queue_capacity = 2;
+  TestServer ts(scfg);
+
+  SubmitGemmMsg msg;
+  msg.tag = 1;
+  msg.spec.m = msg.spec.k = msg.spec.n = kMaxGemmDim;
+  msg.geometry = kGeom;
+  msg.a = tile::random_operand(msg.spec.m * msg.spec.k, msg.spec.dtype, 21);
+  msg.b = tile::random_operand(msg.spec.k * msg.spec.n, msg.spec.dtype, 22);
+  const std::uint64_t steps =
+      tile::plan_gemm(msg.spec, msg.scratch_tiles).steps.size();
+  {
+    std::vector<std::uint8_t> wire;
+    append_frame(wire, MsgType::kSubmitGemm, encode_submit_gemm(msg));
+    RawConn raw(ts.server.port());
+    raw.send_all(wire);
+  }  // hang up with the schedule barely started
+
+  JobRequest fir;
+  fir.kernel = KernelId::kFir;
+  fir.geometry = kGeom;
+  fir.fir_coeffs = {3, 1, 2};
+  fir.input = tile::random_operand(64, tile::Dtype::kInt8, 23);
+  rt::RuntimeConfig rcfg;
+  rcfg.workers = 1;
+  rt::Runtime local(rcfg);
+  const rt::JobResult want = local.submit(to_rt_job(fir)).get();
+  ASSERT_TRUE(want.ok) << want.error;
+  {
+    Client client(client_config(ts.server.port()));
+    const RemoteResult r = client.submit(fir);
+    ASSERT_TRUE(r.ok) << (r.busy ? "busy" : r.error);
+    EXPECT_EQ(r.outputs, want.outputs);
+  }
+
+  const auto t0 = std::chrono::steady_clock::now();
+  ts.stop();
+  const auto drain = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(drain, std::chrono::seconds(2)) << "drain ran the tile backlog";
+
+  const auto m = ts.server.metrics();
+  const std::uint64_t tile_jobs =
+      m.find_counter("net.gemm.tile_jobs")->value();
+  const std::uint64_t cancelled =
+      m.find_counter("net.jobs.cancelled")->value();
+  EXPECT_LT(tile_jobs, steps / 100) << "the fan-out outlived its peer";
+  EXPECT_EQ(tile_jobs + cancelled, steps);
+  // The cancelled GEMM counts as neither completed nor failed.
+  EXPECT_EQ(m.find_counter("net.jobs.completed")->value(), 1u);
+  EXPECT_EQ(m.find_counter("net.jobs.failed")->value(), 0u);
 }
 
 }  // namespace
