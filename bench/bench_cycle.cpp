@@ -1,20 +1,21 @@
-// bench_cycle — simulator cycle throughput across the three execution
-// paths: the ConfigMemory interpreter, the per-cycle decoded cycle
-// plan, and the fused superstep engine.
+// bench_cycle — simulator cycle throughput across the three ways to
+// run a cycle: the ConfigMemory interpreter, the planned engine one
+// System::step() at a time (a one-cycle dispatch per cycle), and the
+// planned engine through System's run loops (multi-cycle superstep
+// dispatches wherever eligible).
 //
 // Runs five steady-state kernels (spatial FIR, stand-alone running
 // MAC, 5/3 wavelet, block matvec8, full-search motion estimation) on
-// the same input three times — plan cache off; plan on with the
-// superstep engine off; everything on (the shipped default) — and
+// the same input three times — plan cache off; plan on, stepped per
+// cycle; plan on through the run loops (the shipped default) — and
 // reports simulated cycles per wall-clock second for each path.  The
 // run aborts unless all three paths are bit-exact: identical outputs,
 // identical cycle counts, identical architectural statistics, and
-// (between the per-cycle planned and superstep paths) identical full
+// (between the per-cycle and superstep paths) identical full
 // statistics and metrics apart from the ring.superstep.* counters.
 //
-// The per-run plan/superstep switches defer to the environment
-// escape hatches: under SRING_NO_PLAN_CACHE or SRING_NO_SUPERSTEP the
-// faster columns degrade to the slower path but every identity check
+// The planned columns defer to the SRING_NO_PLAN_CACHE escape hatch:
+// under it they degrade to the interpreter but every identity check
 // still holds — which is exactly what the CI smoke asserts.
 //
 // Usage:
@@ -29,6 +30,7 @@
 #include "common/error.hpp"
 #include "common/image.hpp"
 #include "common/rng.hpp"
+#include "drive_util.hpp"
 #include "dsp/matvec.hpp"
 #include "kernels/fir_kernel.hpp"
 #include "kernels/jobs.hpp"
@@ -119,26 +121,21 @@ struct RunMeasure {
   std::uint64_t plan_seq_hits = 0;
 };
 
-/// One timed run of a job on the chosen execution path.  The
-/// interpreter path disables both knobs explicitly; the faster paths
-/// leave the construction-time environment defaults in force so the
-/// escape hatches stay observable end to end.
+/// One timed run of a job on the chosen execution path.  Only the
+/// superstep path goes through System's run loops; the other two step
+/// one cycle at a time.  The interpreter path disables the plan cache
+/// explicitly; the planned paths leave the construction-time
+/// environment default in force so the escape hatch stays observable
+/// end to end.
 RunMeasure timed_run(const rt::Job& job, Path path) {
   System sys({kGeom, job.link});
   if (path == Path::kInterpreter) {
     sys.ring().set_plan_cache_enabled(false);
   }
-  if (path != Path::kSuperstep) {
-    sys.set_superstep_enabled(false);
-  }
   sys.load(*job.program);
   sys.host().send(job.input);
   const auto t0 = std::chrono::steady_clock::now();
-  if (job.run == rt::Job::Run::kUntilOutputs) {
-    sys.run_until_outputs(job.expected_outputs, job.max_cycles);
-  } else {
-    sys.run_until_halt(job.max_cycles, job.drain_cycles);
-  }
+  (path == Path::kSuperstep ? kFusedDrive : kPerCycleDrive).job(sys, job);
   const auto t1 = std::chrono::steady_clock::now();
 
   RunMeasure m;

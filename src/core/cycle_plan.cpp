@@ -101,12 +101,12 @@ void compile_cycle_plan(const RingGeometry& geom, const ConfigMemory& cfg,
   const std::size_t n = geom.dnode_count();
   plan.valid = false;
   plan.static_pops = 0;
-  plan.superstep_period = 1;
+  plan.period = 1;
   plan.dnodes.assign(n, PlannedDnode{});
   plan.local_dnodes.clear();
   plan.global_dnodes.clear();
-  plan.exec_dnodes.clear();
   plan.host_taps.clear();
+  plan.sched_valid = false;
 
   for (std::size_t layer = 0; layer < geom.layers; ++layer) {
     const std::size_t up = upstream_of(geom, layer);
@@ -122,24 +122,18 @@ void compile_cycle_plan(const RingGeometry& geom, const ConfigMemory& cfg,
         // wraps), so slots above it are unreachable and stay NOP.
         for (std::size_t s = 0; s <= lc.limit(); ++s) {
           pd.local[s] = compile_slot(geom, lc.instr_at(s), route, up);
-          pd.active = pd.active || !pd.local[s].nop;
         }
         pd.local_len = static_cast<std::uint8_t>(lc.limit() + 1);
-        if (plan.superstep_period != 0) {
-          plan.superstep_period =
-              lcm_of(plan.superstep_period, pd.local_len);
-          if (plan.superstep_period > kMaxSuperstepPeriod) {
-            plan.superstep_period = 0;  // schedule too long to unroll
+        if (plan.period != 0) {
+          plan.period = lcm_of(plan.period, pd.local_len);
+          if (plan.period > kMaxSuperstepPeriod) {
+            plan.period = 0;  // schedule too long to unroll
           }
         }
       } else {
         plan.global_dnodes.push_back(static_cast<std::uint16_t>(i));
         pd.global = compile_slot(geom, cfg.dnode_instr(i), route, up);
-        pd.active = !pd.global.nop;
         plan.static_pops += pd.global.pops;
-      }
-      if (pd.active) {
-        plan.exec_dnodes.push_back(static_cast<std::uint16_t>(i));
       }
     }
   }

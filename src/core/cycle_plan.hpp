@@ -67,9 +67,6 @@ struct PlannedSlot {
 /// microprogram (slots 0..limit) in stand-alone mode.
 struct PlannedDnode {
   bool is_local = false;
-  /// Any reachable slot is non-NOP: this Dnode can change state during
-  /// a superstep (the fused loop tracks only active Dnodes' outputs).
-  bool active = false;
   /// Local program length (limit + 1); 1 when !is_local.
   std::uint8_t local_len = 1;
   PlannedSlot global;                                  ///< !is_local
@@ -82,10 +79,17 @@ struct HostTapPlan {
   std::uint32_t sw = 0;   ///< owning switch (per-switch statistics)
 };
 
-/// Superstep schedules repeat with the LCM of the active local program
-/// lengths.  Periods beyond this cap (mixed 5/7/8-step programs can
-/// reach 840) are not worth unrolling — the plan marks them
-/// superstep-ineligible and the per-cycle planned path handles them.
+/// One executing (non-NOP) slot of the unrolled phase schedule.
+struct PlannedExec {
+  std::uint16_t dnode = 0;
+  const PlannedSlot* slot = nullptr;  ///< into the owning plan's dnodes
+};
+
+/// A plan's schedule repeats with the LCM of its local program lengths.
+/// Periods beyond this cap (mixed 5/7/8-step programs can reach 840)
+/// are not worth unrolling: such a plan keeps a single phase, rebuilt
+/// from the live local counters before every cycle, and runs one cycle
+/// per dispatch.  The cap governs only unrolling.
 inline constexpr std::size_t kMaxSuperstepPeriod = 64;
 
 struct CyclePlan {
@@ -96,17 +100,27 @@ struct CyclePlan {
   std::uint64_t local_generation = 0;
 
   std::size_t static_pops = 0;  ///< host pops from global-mode Dnodes
-  /// LCM of local program lengths (the schedule repeat period for the
-  /// superstep engine); 0 when it would exceed kMaxSuperstepPeriod.
-  std::size_t superstep_period = 1;
+  /// LCM of local program lengths (the schedule repeat period); 0 when
+  /// it would exceed kMaxSuperstepPeriod.
+  std::size_t period = 1;
   std::vector<PlannedDnode> dnodes;          ///< [layer * lanes + lane]
   std::vector<std::uint16_t> local_dnodes;   ///< flat indices, ascending
   std::vector<std::uint16_t> global_dnodes;  ///< flat indices, ascending
-  /// Active Dnodes (some reachable non-NOP slot), ascending.  The
-  /// per-cycle planned path iterates only these — the ascending order
-  /// preserves the documented host pop and output drain order.
-  std::vector<std::uint16_t> exec_dnodes;
   std::vector<HostTapPlan> host_taps;        ///< switch-asc, lane-asc
+
+  // Unrolled phase schedule, built by the Ring (compile_cycle_plan only
+  // marks it stale).  Phase p holds the slots every local Dnode fetches
+  // p cycles after its counter stood at `sched_origin`, so it stays
+  // current while the counters advance in lockstep with a phase cursor.
+  // A global-only plan's schedule never depends on a counter and is
+  // built once per compile.
+  bool sched_valid = false;
+  std::vector<std::uint8_t> sched_origin;  ///< per local_dnodes entry
+  std::vector<PlannedExec> sched_exec;     ///< non-NOP slots, phase-major
+  std::vector<std::uint32_t> sched_begin;  ///< [phases + 1] into sched_exec
+  std::vector<std::uint32_t> sched_pops;   ///< [phases] host pops per phase
+  std::vector<std::uint32_t> sched_out;    ///< sched_exec idx w/ host/bus en
+  std::vector<std::uint32_t> sched_out_begin;  ///< [phases + 1]
 };
 
 /// Compile the live configuration + local-control programs into `plan`

@@ -40,12 +40,16 @@ class LocalControl {
   /// mode): wraps to 0 after reaching LIMIT.
   void advance() noexcept;
 
-  /// Advance the counter by `cycles` clock edges at once — the
-  /// superstep engine's end-of-run fixup, equivalent to that many
-  /// advance() calls.
+  /// Advance the counter by `cycles` clock edges at once — the planned
+  /// engine's end-of-dispatch fixup, equivalent to that many advance()
+  /// calls.  Divides only when the dispatch wraps the program more
+  /// than once; the common one-cycle dispatch is a compare.
   void advance_by(std::uint64_t cycles) noexcept {
-    counter_ = static_cast<std::uint8_t>(
-        (counter_ + cycles) % (static_cast<std::uint64_t>(limit_) + 1));
+    const std::uint64_t len = static_cast<std::uint64_t>(limit_) + 1;
+    std::uint64_t c = counter_ + cycles;
+    if (c >= len) c -= len;
+    if (c >= len) c %= len;
+    counter_ = static_cast<std::uint8_t>(c);
   }
 
   void reset_counter() noexcept { counter_ = 0; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "common/error.hpp"
 #include "core/local_control.hpp"
@@ -42,8 +43,6 @@ Ring::Ring(const RingGeometry& g) : geom_(g) {
   needs_.assign(geom_.dnode_count(), {});
   effects_.assign(geom_.dnode_count(), {});
   pre_outs_.assign(geom_.dnode_count(), 0);
-  local_slot_.assign(geom_.dnode_count(), 0);
-  exec_scratch_.reserve(geom_.dnode_count());
   const char* no_plan = std::getenv("SRING_NO_PLAN_CACHE");
   plan_enabled_ = no_plan == nullptr || *no_plan == '\0';
 }
@@ -55,13 +54,15 @@ std::size_t Ring::flat_index(std::size_t layer, std::size_t lane) const {
 }
 
 std::size_t Ring::upstream_layer(std::size_t layer) const noexcept {
-  return (layer + geom_.layers - 1) % geom_.layers;
+  // No modulo: this runs once per switch per planned cycle.
+  return (layer == 0 ? geom_.layers : layer) - 1;
 }
 
 Dnode& Ring::dnode(std::size_t layer, std::size_t lane) {
-  // The caller may mutate output registers directly (test harnesses
-  // do): the planned path's cached pre-edge vector goes stale.
+  // The caller may mutate output registers or local counters directly
+  // (test harnesses do): the planned engine's mirrors go stale.
   pre_outs_valid_ = false;
+  sched_synced_ = false;
   return dnodes_[flat_index(layer, lane)];
 }
 
@@ -72,6 +73,7 @@ const Dnode& Ring::dnode(std::size_t layer, std::size_t lane) const {
 Dnode& Ring::dnode_flat(std::size_t index) {
   check(index < dnodes_.size(), "Ring: dnode index out of range");
   pre_outs_valid_ = false;
+  sched_synced_ = false;
   return dnodes_[index];
 }
 
@@ -125,6 +127,7 @@ void Ring::reset_arch_state() {
   current_plan_ = nullptr;
   mode_synced_ = false;
   pre_outs_valid_ = false;
+  sched_synced_ = false;
   local_generation_ = 0;
   local_hash_gen_ = ~std::uint64_t{0};
   unfuse();
@@ -167,6 +170,14 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
 
   if (!plan_enabled_) return step_interpreted(cfg, bus, host_in, host_out);
 
+  // Planned cycles are one-cycle dispatches of the planned engine.
+  const auto run_one_cycle = [&](CyclePlan& plan) {
+    CycleResult r = exec_plan(plan, bus, host_in, host_out, 1,
+                              std::numeric_limits<std::size_t>::max(), {});
+    r.stalled = r.cycles == 0;
+    return r;
+  };
+
   const std::uint64_t uid = cfg.uid();
   const std::uint64_t gen = cfg.generation();
   if (current_plan_ != nullptr) {
@@ -174,7 +185,7 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
     if (plan.cfg_uid == uid && plan.cfg_generation == gen &&
         plan.local_generation == local_generation_) {
       ++plan_hits_;
-      return step_planned(plan, bus, host_in, host_out);
+      return run_one_cycle(plan);
     }
     current_plan_ = nullptr;
     ++plan_invalidations_;
@@ -191,7 +202,7 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
       ++plan_content_hits_;
       ++plan_hits_;
       attach_plan(pred, cfg);
-      return step_planned(pred->plan, bus, host_in, host_out);
+      return run_one_cycle(pred->plan);
     }
   }
 
@@ -217,7 +228,7 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
     ++plan_content_hits_;
     ++plan_hits_;
     attach_plan(e, cfg);
-    return step_planned(e->plan, bus, host_in, host_out);
+    return run_one_cycle(e->plan);
   }
   if (++e->sightings >= 2) {
     // Second sighting of this content: compile.  compile throws
@@ -228,7 +239,7 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
     e->compiled = true;
     ++plan_compiles_;
     attach_plan(e, cfg);
-    return step_planned(e->plan, bus, host_in, host_out);
+    return run_one_cycle(e->plan);
   }
   // First sighting: interpret, compile if the content ever recurs.
   return step_interpreted(cfg, bus, host_in, host_out);
@@ -360,6 +371,7 @@ void Ring::attach_plan(PlanCacheEntry* e, const ConfigMemory& cfg) {
     is_local_[i] = plan.dnodes[i].is_local;
   }
   mode_synced_ = false;
+  sched_synced_ = false;
   current_plan_ = e;
   note_attach(e);
 }
@@ -597,29 +609,112 @@ Ring::CycleResult Ring::step_interpreted(const ConfigMemory& cfg, Word bus,
     }
   }
   drain_effects(result, host_out);
+  result.cycles = 1;
   return result;
 }
 
-Ring::CycleResult Ring::step_planned(const CyclePlan& plan, Word bus,
-                                     HostFifo& host_in,
-                                     std::vector<Word>& host_out) {
-  CycleResult result;
+Ring::CycleResult Ring::run_planned(const ConfigMemory& cfg, Word bus,
+                                    HostFifo& host_in,
+                                    std::vector<Word>& host_out,
+                                    std::uint64_t max_cycles,
+                                    std::size_t host_out_stop,
+                                    const HostDepthProbe& probe) {
+  if (max_cycles == 0 || !plan_enabled_ || current_plan_ == nullptr) {
+    return {};
+  }
+  CyclePlan& plan = current_plan_->plan;
+  if (plan.cfg_uid != cfg.uid() || plan.cfg_generation != cfg.generation() ||
+      plan.local_generation != local_generation_) {
+    return {};  // stale plan: step() owns invalidation
+  }
+  if (plan.period == 0) return {};  // not unrolled: step() runs it
+  const CycleResult res =
+      exec_plan(plan, bus, host_in, host_out, max_cycles, host_out_stop, probe);
+  if (res.cycles > 0) {
+    ++superstep_dispatches_;
+    superstep_cycles_ += res.cycles;
+    plan_hits_ += res.cycles;
+  }
+  return res;
+}
 
-  // Pops this cycle: static (global-mode) schedule plus the current
-  // slot of every local program.  A Dnode whose local-mode entry has
-  // not committed yet (stall pending) fetches slot 0.
-  std::size_t pops_needed = plan.static_pops;
+void Ring::sync_schedule(CyclePlan& plan) {
+  phase_ = 0;
+  // The slot each local Dnode fetches next: 0 for one whose local-mode
+  // entry has not committed yet — which is also where its counter
+  // lands at the mode sync, so the schedule holds across that sync.
+  const auto next_slot = [&](std::size_t i) -> std::uint8_t {
+    return last_mode_[i] == DnodeMode::kGlobal ? std::uint8_t{0}
+                                               : dnodes_[i].local().counter();
+  };
+  if (plan.sched_valid) {
+    std::size_t k = 0;
+    while (k < plan.local_dnodes.size() &&
+           plan.sched_origin[k] == next_slot(plan.local_dnodes[k])) {
+      ++k;
+    }
+    if (k == plan.local_dnodes.size()) return;  // counters match
+  }
+  plan.sched_origin.clear();
   for (const std::uint16_t i : plan.local_dnodes) {
-    const std::uint8_t slot = last_mode_[i] == DnodeMode::kGlobal
-                                  ? std::uint8_t{0}
-                                  : dnodes_[i].local().counter();
-    local_slot_[i] = slot;
-    pops_needed += plan.dnodes[i].local[slot].pops;
+    plan.sched_origin.push_back(next_slot(i));
   }
-  if (host_in.size() < pops_needed) {
-    result.stalled = true;
-    return result;  // systolic back-pressure: nothing advances
+
+  // Unroll the schedule over the local-program period: per phase, the
+  // non-NOP slots in flat Dnode order (preserving the documented host
+  // pop order) and the cycle's total host-pop count.  Phase p serves
+  // the cycle p cycles after the origin, so local-slot bookkeeping
+  // vanishes from the engine loop.
+  const std::size_t phases = plan.period == 0 ? 1 : plan.period;
+  const std::size_t n = dnodes_.size();
+  plan.sched_exec.clear();
+  plan.sched_begin.assign(phases + 1, 0);
+  plan.sched_pops.assign(phases, 0);
+  plan.sched_out.clear();
+  plan.sched_out_begin.assign(phases + 1, 0);
+  for (std::size_t p = 0; p < phases; ++p) {
+    plan.sched_begin[p] = static_cast<std::uint32_t>(plan.sched_exec.size());
+    plan.sched_out_begin[p] = static_cast<std::uint32_t>(plan.sched_out.size());
+    std::uint32_t pops = static_cast<std::uint32_t>(plan.static_pops);
+    for (std::size_t i = 0; i < n; ++i) {
+      const PlannedDnode& pd = plan.dnodes[i];
+      const PlannedSlot* slot = &pd.global;
+      if (pd.is_local) {
+        slot = &pd.local[(next_slot(i) + p) % pd.local_len];
+        pops += slot->pops;
+      }
+      if (slot->nop) continue;
+      if (slot->instr.host_en || slot->instr.bus_en) {
+        plan.sched_out.push_back(
+            static_cast<std::uint32_t>(plan.sched_exec.size()));
+      }
+      plan.sched_exec.push_back({static_cast<std::uint16_t>(i), slot});
+    }
+    plan.sched_pops[p] = pops;
   }
+  plan.sched_begin[phases] = static_cast<std::uint32_t>(plan.sched_exec.size());
+  plan.sched_out_begin[phases] =
+      static_cast<std::uint32_t>(plan.sched_out.size());
+  plan.sched_valid = true;
+}
+
+Ring::CycleResult Ring::exec_plan(CyclePlan& plan, Word bus, HostFifo& host_in,
+                                  std::vector<Word>& host_out,
+                                  std::uint64_t max_cycles,
+                                  std::size_t host_out_stop,
+                                  const HostDepthProbe& probe) {
+  // The schedule is checked once per attachment; afterwards the local
+  // counters advance in lockstep with phase_.  A plan over the period
+  // cap has one phase, rebuilt from the live counters every cycle.
+  if (!sched_synced_ || plan.period == 0) {
+    sync_schedule(plan);
+    sched_synced_ = true;
+  }
+  std::size_t phase = phase_;
+
+  // First-cycle stall check before any state is touched: a stalled
+  // cycle advances nothing (step() reports it, a superstep hands back).
+  if (host_in.size() < plan.sched_pops[phase]) return {};
 
   if (!mode_synced_) {
     // First advancing cycle under this attachment: commit mode
@@ -637,261 +732,68 @@ Ring::CycleResult Ring::step_planned(const CyclePlan& plan, Word bus,
     }
     mode_synced_ = true;
   }
-  for (const std::uint16_t i : plan.local_dnodes) {
-    ++local_cycles_per_dnode_[i];
-  }
-  for (const std::uint16_t i : plan.global_dnodes) {
-    ++global_cycles_per_dnode_[i];
-  }
 
   // Standing invariant between planned cycles: pre_outs_[i] mirrors
-  // every output register at the top of the cycle, so the edge below
-  // needs to refresh only the Dnodes that executed.  Interpreted or
-  // fused cycles in between break the invariant and it is rebuilt
-  // here once.
+  // every output register at the top of the cycle, so each edge below
+  // refreshes only the Dnodes that executed.  Interpreted cycles or
+  // outside writes break the invariant and it is rebuilt here once.
   const std::size_t n = dnodes_.size();
   if (!pre_outs_valid_) {
-    for (std::size_t i = 0; i < n; ++i) {
-      pre_outs_[i] = dnodes_[i].out();
-    }
+    for (std::size_t i = 0; i < n; ++i) pre_outs_[i] = dnodes_[i].out();
     pre_outs_valid_ = true;
   }
 
-  if (trace_views_) {
-    // Event tracing consumes per-Dnode fetch/effect views for ALL
-    // Dnodes; keep them exact only when a sink is attached.
-    for (std::size_t i = 0; i < n; ++i) {
-      const PlannedDnode& pd = plan.dnodes[i];
-      const PlannedSlot& ps =
-          pd.is_local ? pd.local[local_slot_[i]] : pd.global;
-      fetched_[i] = &ps.instr;
-      effects_[i] = Dnode::Effects{};
-    }
-  }
-
-  // Execute: only Dnodes with a reachable non-NOP slot, ascending —
-  // which preserves the documented host pop order exactly.
-  exec_scratch_.clear();
-  for (const std::uint16_t i : plan.exec_dnodes) {
-    const PlannedDnode& pd = plan.dnodes[i];
-    const PlannedSlot& ps =
-        pd.is_local ? pd.local[local_slot_[i]] : pd.global;
-    if (ps.nop) continue;
-
-    Dnode::Inputs in;
-    in.bus = bus;
-    const auto resolve = [&](PlannedSlot::Port kind, std::uint16_t prev,
-                             const FeedbackAddr& fb) -> Word {
-      switch (kind) {
-        case PlannedSlot::Port::kZero:
-          return 0;
-        case PlannedSlot::Port::kPrev:
-          return pre_outs_[prev];
-        case PlannedSlot::Port::kHost: {
-          const Word w = host_in.front();
-          host_in.pop_front();
-          ++result.host_words_in;
-          return w;
-        }
-        case PlannedSlot::Port::kFeedback:
-          note_fb_read(fb);
-          return pipes_[fb.pipe].read_fast(fb.lane, fb.depth);
-        case PlannedSlot::Port::kBus:
-          return bus;
-      }
-      return 0;
-    };
-    in.in1 = resolve(ps.in1, ps.in1_prev, ps.in1_fb);
-    in.in2 = resolve(ps.in2, ps.in2_prev, ps.in2_fb);
-    if (ps.read_fifo1) {
-      in.fifo1 = pipes_[ps.fifo1.pipe].read_fast(ps.fifo1.lane, ps.fifo1.depth);
-      note_fb_read(ps.fifo1);
-    }
-    if (ps.read_fifo2) {
-      in.fifo2 = pipes_[ps.fifo2.pipe].read_fast(ps.fifo2.lane, ps.fifo2.depth);
-      note_fb_read(ps.fifo2);
-    }
-    if (ps.direct_pop) {
-      in.host = host_in.front();
-      host_in.pop_front();
-      ++result.host_words_in;
-    }
-
-    effects_[i] = dnodes_[i].execute(ps.instr, in);
-    exec_scratch_.push_back(i);
-    ++result.ops;
-    result.arith_ops += ps.is_mac ? 2u : 1u;
-    ++ops_per_dnode_[i];
-    if (ps.is_mac) ++mac_ops_per_dnode_[i];
-  }
-
-  // Clock edge.  pre_outs_ holds the pre-edge output vector (the
-  // invariant), so pipelines and taps latch from it directly;
-  // committing only the executed Dnodes plus one counter advance per
-  // local Dnode is equivalent to the interpreter's commit_edge().
-  for (std::size_t s = 0; s < geom_.switch_count(); ++s) {
-    pipes_[s].push_from(pre_outs_.data() + upstream_layer(s) * geom_.lanes);
-  }
-  for (const HostTapPlan& tap : plan.host_taps) {
-    host_out.push_back(pre_outs_[tap.src]);
-    ++result.host_words_out;
-    ++host_out_words_per_switch_[tap.sw];
-  }
-  for (const std::uint16_t i : exec_scratch_) {
-    dnodes_[i].commit(false);
-  }
-  for (const std::uint16_t i : plan.local_dnodes) {
-    dnodes_[i].local().advance();
-  }
-  for (const std::uint16_t i : exec_scratch_) {
-    pre_outs_[i] = dnodes_[i].out();  // restore the invariant
-  }
-
-  // Host output (after the taps above) and bus drives, ascending Dnode
-  // order: highest index wins the bus.
-  for (const std::uint16_t i : exec_scratch_) {
-    const Dnode::Effects& eff = effects_[i];
-    if (eff.host_en) {
-      host_out.push_back(eff.result);
-      ++result.host_words_out;
-    }
-    if (eff.bus_en) {
-      ++bus_drives_;
-      if (result.bus_drive.has_value()) ++bus_conflicts_;
-      result.bus_drive = eff.result;
-    }
-  }
-  return result;
-}
-
-Ring::SuperstepResult Ring::run_planned(const ConfigMemory& cfg, Word bus,
-                                        HostFifo& host_in,
-                                        std::vector<Word>& host_out,
-                                        std::uint64_t max_cycles,
-                                        std::size_t host_out_stop,
-                                        const HostDepthProbe& probe) {
-  SuperstepResult res;
-  if (max_cycles == 0 || !plan_enabled_ || current_plan_ == nullptr) {
-    return res;
-  }
-  const CyclePlan& plan = current_plan_->plan;
-  if (plan.cfg_uid != cfg.uid() || plan.cfg_generation != cfg.generation() ||
-      plan.local_generation != local_generation_) {
-    return res;  // stale plan: the per-cycle path owns invalidation
-  }
-  if (plan.superstep_period == 0) return res;  // period over the cap
-
-  // First-cycle stall check before any state is touched: a Dnode whose
-  // local-mode entry has not committed yet fetches slot 0 — which is
-  // also where its counter lands after the mode sync below, so the
-  // schedule built from post-sync counters agrees with this check.
-  {
-    std::size_t pops = plan.static_pops;
-    for (const std::uint16_t i : plan.local_dnodes) {
-      const std::uint8_t slot = last_mode_[i] == DnodeMode::kGlobal
-                                    ? std::uint8_t{0}
-                                    : dnodes_[i].local().counter();
-      pops += plan.dnodes[i].local[slot].pops;
-    }
-    if (host_in.size() < pops) return res;  // per-cycle path replays the stall
-  }
-
-  // The first cycle is known to advance: commit mode transitions
-  // exactly as step_planned's one-time sync would.
-  if (!mode_synced_) {
-    for (const std::uint16_t i : plan.local_dnodes) {
-      if (last_mode_[i] == DnodeMode::kGlobal) {
-        dnodes_[i].local().reset_counter();
-      }
-      last_mode_[i] = DnodeMode::kLocal;
-    }
-    for (const std::uint16_t i : plan.global_dnodes) {
-      last_mode_[i] = DnodeMode::kGlobal;
-    }
-    mode_synced_ = true;
-  }
-
-  // Unroll the schedule over the local-program period: per phase, the
-  // non-NOP slots in flat Dnode order (preserving the documented host
-  // pop order) and the cycle's total host-pop count.  Phase p serves
-  // superstep cycle k with k % period == p, starting from the current
-  // local counters, so local-slot bookkeeping vanishes from the loop.
-  const std::size_t period = plan.superstep_period;
-  const std::size_t n = dnodes_.size();
-  ss_exec_.clear();
-  ss_begin_.assign(period + 1, 0);
-  ss_pops_.assign(period, 0);
-  ss_out_.clear();
-  ss_out_begin_.assign(period + 1, 0);
-  for (std::size_t p = 0; p < period; ++p) {
-    ss_begin_[p] = static_cast<std::uint32_t>(ss_exec_.size());
-    ss_out_begin_[p] = static_cast<std::uint32_t>(ss_out_.size());
-    std::uint32_t pops = static_cast<std::uint32_t>(plan.static_pops);
-    for (std::size_t i = 0; i < n; ++i) {
-      const PlannedDnode& pd = plan.dnodes[i];
-      const PlannedSlot* slot = &pd.global;
-      if (pd.is_local) {
-        slot = &pd.local[(dnodes_[i].local().counter() + p) % pd.local_len];
-        pops += slot->pops;
-      }
-      if (!slot->nop) {
-        if (slot->instr.host_en || slot->instr.bus_en) {
-          ss_out_.push_back(static_cast<std::uint32_t>(ss_exec_.size()));
-        }
-        ss_exec_.push_back({static_cast<std::uint16_t>(i), slot});
-      }
-    }
-    ss_pops_[p] = pops;
-  }
-  ss_begin_[period] = static_cast<std::uint32_t>(ss_exec_.size());
-  ss_out_begin_[period] = static_cast<std::uint32_t>(ss_out_.size());
-
-  // Only active Dnodes (some reachable non-NOP slot) can change their
-  // output register during the superstep; capture the full pre-edge
-  // vector once and refresh just those entries per cycle.
-  ss_active_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (plan.dnodes[i].active) {
-      ss_active_.push_back(static_cast<std::uint16_t>(i));
-    }
-    pre_outs_[i] = dnodes_[i].out();
-  }
-
+  const std::size_t phases = plan.sched_pops.size();
   const std::size_t lanes = geom_.lanes;
   const std::size_t switches = geom_.switch_count();
+  // Tallies live in locals, not in the returned result: the counter
+  // stores below could alias it and force a reload per store.
+  std::uint64_t cycles = 0;
+  std::uint64_t ops = 0;
+  std::uint64_t arith = 0;
   std::uint64_t words_in = 0;
   std::uint64_t words_out = 0;
-  std::size_t phase = 0;
-  std::size_t prev_top = 0;
-  bool have_prev_top = false;
+  std::size_t last_top = 0;
+  std::optional<Word> drive;
 
+  // The first cycle is admitted: it cannot stall (checked above) and
+  // the caller checked its own stop condition.  Later cycles are
+  // admitted at the bottom of the loop.
   for (;;) {
     const std::size_t out_at_top = host_out.size();
-    // Output stop with the per-cycle host-visibility lag: the System's
-    // run_until_outputs loop admits cycle c against a host mirror one
-    // tick stale — host_out's size at the top of cycle c-1.  The first
-    // fused cycle was already admitted by the caller.
-    if (have_prev_top && prev_top >= host_out_stop) break;
+    const std::uint32_t need = plan.sched_pops[phase];
 
-    // Impending stall: hand back so the per-cycle path replays the
-    // stall cycle-accurately (a stalled cycle advances nothing here).
-    const std::uint32_t need = ss_pops_[phase];
-    if (host_in.size() < need) break;
-
-    // The cycle will execute: sample the host-FIFO depth histogram at
-    // the same point System::step does (pre-pop).
+    // Sample the host-FIFO depth histogram at the same point
+    // System::step does (pre-pop).
     if (probe.counts != nullptr) {
       const std::size_t d = host_in.size();
       ++probe.counts[probe.lut[d < probe.lut_max ? d : probe.lut_max]];
     }
 
-    // Execute the phase.  Every per-exec statistic here is a plan
-    // constant (which Dnode, MAC or not, which feedback addresses), so
-    // all counter work is hoisted to the flush below — the loop body is
-    // operand fetch, ALU, stage.
-    const SuperExec* const e = ss_exec_.data() + ss_begin_[phase];
-    const SuperExec* const e_end = ss_exec_.data() + ss_begin_[phase + 1];
-    for (const SuperExec* it = e; it != e_end; ++it) {
+    if (trace_views_) {
+      // Event tracing consumes per-Dnode fetch/effect views for ALL
+      // Dnodes.  Local counters advance only at the end of a dispatch,
+      // so this cycle's slot is the counter plus the cycles run so far.
+      for (std::size_t i = 0; i < n; ++i) {
+        const PlannedDnode& pd = plan.dnodes[i];
+        const PlannedSlot& ps =
+            pd.is_local
+                ? pd.local[(dnodes_[i].local().counter() + cycles) %
+                           pd.local_len]
+                : pd.global;
+        fetched_[i] = &ps.instr;
+        effects_[i] = Dnode::Effects{};
+      }
+    }
+
+    // Execute the phase, counting per-exec statistics as they happen:
+    // a second, closed-form pass after the loop would cost a one-cycle
+    // dispatch more than it saves a long one.
+    const PlannedExec* const e =
+        plan.sched_exec.data() + plan.sched_begin[phase];
+    const PlannedExec* const e_end =
+        plan.sched_exec.data() + plan.sched_begin[phase + 1];
+    for (const PlannedExec* it = e; it != e_end; ++it) {
       const PlannedSlot& ps = *it->slot;
       Dnode::Inputs in;
       in.bus = bus;
@@ -901,10 +803,11 @@ Ring::SuperstepResult Ring::run_planned(const ConfigMemory& cfg, Word bus,
           case PlannedSlot::Port::kZero:
             return 0;
           case PlannedSlot::Port::kPrev:
-            return dnodes_[prev].out();
+            return pre_outs_[prev];
           case PlannedSlot::Port::kHost:
             return host_in.pop();
           case PlannedSlot::Port::kFeedback:
+            note_fb_read(fb);
             return pipes_[fb.pipe].read_fast(fb.lane, fb.depth);
           case PlannedSlot::Port::kBus:
             return bus;
@@ -916,43 +819,48 @@ Ring::SuperstepResult Ring::run_planned(const ConfigMemory& cfg, Word bus,
       if (ps.read_fifo1) {
         in.fifo1 =
             pipes_[ps.fifo1.pipe].read_fast(ps.fifo1.lane, ps.fifo1.depth);
+        note_fb_read(ps.fifo1);
       }
       if (ps.read_fifo2) {
         in.fifo2 =
             pipes_[ps.fifo2.pipe].read_fast(ps.fifo2.lane, ps.fifo2.depth);
+        note_fb_read(ps.fifo2);
       }
       if (ps.direct_pop) in.host = host_in.pop();
 
       effects_[it->dnode] = dnodes_[it->dnode].execute(ps.instr, in);
+      ++ops;
+      arith += ps.is_mac ? 2u : 1u;
+      ++ops_per_dnode_[it->dnode];
+      if (ps.is_mac) ++mac_ops_per_dnode_[it->dnode];
     }
     words_in += need;
 
-    // Clock edge.  Committing only the Dnodes that executed is
-    // equivalent to commit_edge(): a Dnode with nothing staged commits
+    // Clock edge.  pre_outs_ holds the pre-edge output vector (the
+    // invariant), so pipelines and taps latch from it directly;
+    // committing only the executed Dnodes is equivalent to the
+    // interpreter's commit_edge() — a Dnode with nothing staged commits
     // to its own current state, and local counters are fixed up in one
     // advance_by() below.
-    for (const std::uint16_t i : ss_active_) {
-      pre_outs_[i] = dnodes_[i].out();
-    }
-    for (const SuperExec* it = e; it != e_end; ++it) {
-      dnodes_[it->dnode].commit(false);
-    }
     for (std::size_t s = 0; s < switches; ++s) {
       pipes_[s].push_from(pre_outs_.data() + upstream_layer(s) * lanes);
     }
-
     // Host output: switch taps first (switch order), then Dnode hostEn
     // results (Dnode order).  Bus drive: highest Dnode index wins.
     for (const HostTapPlan& tap : plan.host_taps) {
-      host_out.push_back(pre_outs_[tap.src]);  // per-switch counter flushed
+      host_out.push_back(pre_outs_[tap.src]);  // per-switch count: below
     }
     words_out += plan.host_taps.size();
-    std::optional<Word> drive;
-    const std::uint32_t* o = ss_out_.data() + ss_out_begin_[phase];
+    for (const PlannedExec* it = e; it != e_end; ++it) {
+      dnodes_[it->dnode].commit(false);
+      pre_outs_[it->dnode] = dnodes_[it->dnode].out();  // the invariant
+    }
+    const std::uint32_t* o =
+        plan.sched_out.data() + plan.sched_out_begin[phase];
     const std::uint32_t* const o_end =
-        ss_out_.data() + ss_out_begin_[phase + 1];
+        plan.sched_out.data() + plan.sched_out_begin[phase + 1];
     for (; o != o_end; ++o) {
-      const Dnode::Effects& eff = effects_[ss_exec_[*o].dnode];
+      const Dnode::Effects& eff = effects_[plan.sched_exec[*o].dnode];
       if (eff.host_en) {
         host_out.push_back(eff.result);
         ++words_out;
@@ -964,79 +872,41 @@ Ring::SuperstepResult Ring::run_planned(const ConfigMemory& cfg, Word bus,
       }
     }
 
-    ++res.cycles;
-    prev_top = out_at_top;
-    have_prev_top = true;
-    ++phase;
-    if (phase == period) phase = 0;
-    if (drive.has_value()) {
-      // The driven value must be visible on the bus next cycle: break
-      // so the caller can update it.
-      res.bus_drive = drive;
+    ++cycles;
+    last_top = out_at_top;
+    if (++phase == phases) phase = 0;
+    // Hand back before the next cycle when a Dnode drove the bus (the
+    // value must be visible next cycle), the budget is spent, the
+    // output stop is reached, or the next cycle would stall (step()
+    // replays the stall cycle-accurately).  The output stop carries
+    // the per-cycle host-visibility lag: the System's
+    // run_until_outputs loop admits cycle c against a host mirror one
+    // tick stale — host_out's size at the top of cycle c-1.
+    if (drive.has_value() || cycles >= max_cycles ||
+        last_top >= host_out_stop || host_in.size() < plan.sched_pops[phase]) {
       break;
     }
-    if (res.cycles >= max_cycles) break;
   }
+  phase_ = phase;
 
-  // One flush for the whole superstep.  plan_hits_ advances by the
-  // executed cycle count so the plan counters — and with them the full
-  // SystemStats — stay bit-identical with per-cycle planned execution.
-  // The loop only breaks at cycle boundaries, so phase p ran exactly
-  // floor(cycles/period) times plus one if p < cycles % period — which
-  // lets every plan-constant per-exec statistic (op counts, MAC counts,
-  // feedback-read histograms, tap traffic) be settled here instead of
-  // inside the fused loop.
-  std::uint64_t ops = 0;
-  std::uint64_t arith = 0;
-  {
-    const std::uint64_t full = res.cycles / period;
-    const std::size_t rem = static_cast<std::size_t>(res.cycles % period);
-    for (std::size_t p = 0; p < period; ++p) {
-      const std::uint64_t cnt = full + (p < rem ? 1 : 0);
-      if (cnt == 0) continue;
-      for (std::uint32_t k = ss_begin_[p]; k < ss_begin_[p + 1]; ++k) {
-        const SuperExec& ex = ss_exec_[k];
-        const PlannedSlot& ps = *ex.slot;
-        ops += cnt;
-        arith += cnt * (ps.is_mac ? 2u : 1u);
-        ops_per_dnode_[ex.dnode] += cnt;
-        if (ps.is_mac) mac_ops_per_dnode_[ex.dnode] += cnt;
-        const auto note_n = [&](const FeedbackAddr& fb) {
-          fb_reads_per_pipe_[fb.pipe] += cnt;
-          fb_read_depth_counts_[fb.pipe * geom_.fb_depth + fb.depth] += cnt;
-        };
-        if (ps.in1 == PlannedSlot::Port::kFeedback) note_n(ps.in1_fb);
-        if (ps.in2 == PlannedSlot::Port::kFeedback) note_n(ps.in2_fb);
-        if (ps.read_fifo1) note_n(ps.fifo1);
-        if (ps.read_fifo2) note_n(ps.fifo2);
-      }
-    }
-    for (const HostTapPlan& tap : plan.host_taps) {
-      host_out_words_per_switch_[tap.sw] += res.cycles;
-    }
+  // Per-dispatch statistics: the same for every cycle, whatever its
+  // phase.
+  for (const HostTapPlan& tap : plan.host_taps) {
+    host_out_words_per_switch_[tap.sw] += cycles;
   }
-  res.ops = ops;
-  res.arith_ops = arith;
-  res.host_words_in = words_in;
-  res.host_words_out = words_out;
-  res.out_size_at_last_top = prev_top;
-  ++superstep_dispatches_;
-  superstep_cycles_ += res.cycles;
-  plan_hits_ += res.cycles;
   for (const std::uint16_t i : plan.local_dnodes) {
-    dnodes_[i].local().advance_by(res.cycles);
-    local_cycles_per_dnode_[i] += res.cycles;
+    dnodes_[i].local().advance_by(cycles);
+    local_cycles_per_dnode_[i] += cycles;
   }
   for (const std::uint16_t i : plan.global_dnodes) {
-    global_cycles_per_dnode_[i] += res.cycles;
+    global_cycles_per_dnode_[i] += cycles;
   }
-  // pre_outs_ holds the LAST cycle's pre-edge vector for active
-  // Dnodes; refresh those to restore the per-cycle planned invariant.
-  for (const std::uint16_t i : ss_active_) {
-    pre_outs_[i] = dnodes_[i].out();
-  }
-  pre_outs_valid_ = true;
-  return res;
+  return {.cycles = cycles,
+          .ops = ops,
+          .arith_ops = arith,
+          .host_words_in = words_in,
+          .host_words_out = words_out,
+          .out_size_at_last_top = last_top,
+          .bus_drive = drive};
 }
-
 }  // namespace sring

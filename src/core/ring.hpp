@@ -28,6 +28,12 @@
 //      switch host-out taps and Dnode hostEn results append to the
 //      host output stream.
 //
+// Planned engine: with a compiled CyclePlan attached, cycles execute
+// from the plan's unrolled phase schedule instead of re-interpreting
+// the configuration.  step() is a one-cycle dispatch of that engine and
+// run_planned() (the System's superstep) a multi-cycle one; the
+// interpreter stays the reference for content that has no plan.
+//
 // Cycle-plan cache: compiled CyclePlans are cached in a small bounded
 // pool keyed by configuration *content* — a hash of the live
 // configuration bytes plus the local-control programs — not by write
@@ -37,8 +43,8 @@
 // byte-identical value), the cached plan re-attaches in O(1) instead
 // of recompiling.  Unknown content is interpreted and compiled on its
 // second sighting.  On top of the cache, the Ring watches the sequence
-// of plan attachments: a periodic rotation (period capped like the
-// superstep LCM) is fused so each detach predicts its successor and
+// of plan attachments: a periodic rotation (period capped by
+// kMaxSuperstepPeriod) is fused so each detach predicts its successor and
 // verifies it by provenance in O(1) — no hashing, no lookup.  Outputs
 // and architectural statistics are bit-exact with the interpreter; only
 // the ring.plan.* counters differ.  Set the SRING_NO_PLAN_CACHE
@@ -68,18 +74,25 @@ class Ring {
 
   const RingGeometry& geometry() const noexcept { return geom_; }
 
-  /// Outcome of one clock cycle.
+  /// Outcome of one step() or one planned dispatch: tallies summed over
+  /// every executed cycle.
   struct CycleResult {
-    bool stalled = false;          ///< host input underflow: no state change
-    unsigned ops = 0;              ///< Dnode instructions executed (non-NOP)
-    unsigned arith_ops = 0;        ///< arithmetic operations (MAC/MSU = 2)
-    unsigned host_words_in = 0;    ///< words popped from the input FIFO
-    unsigned host_words_out = 0;   ///< words pushed to the output stream
-    std::optional<Word> bus_drive; ///< bus value driven by a Dnode, if any
+    bool stalled = false;           ///< step(): host input underflow
+    std::uint64_t cycles = 0;       ///< non-stalled cycles executed
+    std::uint64_t ops = 0;          ///< Dnode instructions executed
+    std::uint64_t arith_ops = 0;    ///< arithmetic operations (MAC/MSU = 2)
+    std::uint64_t host_words_in = 0;   ///< words popped from the input FIFO
+    std::uint64_t host_words_out = 0;  ///< words pushed to the output stream
+    /// host_out.size() observed at the top of the last executed cycle —
+    /// what a per-cycle host mirror (one tick behind) would have
+    /// published after that cycle.
+    std::size_t out_size_at_last_top = 0;
+    std::optional<Word> bus_drive;  ///< drive from the final cycle, if any
   };
 
   /// Advance one clock cycle.  `bus` is the shared-bus value visible to
-  /// the Dnodes this cycle; host traffic uses the given FIFOs.
+  /// the Dnodes this cycle; host traffic uses the given FIFOs.  With a
+  /// plan attached this is a one-cycle dispatch of the planned engine.
   CycleResult step(const ConfigMemory& cfg, Word bus,
                    HostFifo& host_in, std::vector<Word>& host_out);
 
@@ -93,41 +106,25 @@ class Ring {
     std::size_t lut_max = 0;
   };
 
-  /// Outcome of one fused superstep (run_planned()): per-cycle tallies
-  /// accumulated over every executed cycle and flushed once.
-  struct SuperstepResult {
-    std::uint64_t cycles = 0;       ///< non-stalled cycles executed
-    std::uint64_t ops = 0;
-    std::uint64_t arith_ops = 0;
-    std::uint64_t host_words_in = 0;
-    std::uint64_t host_words_out = 0;
-    /// host_out.size() observed at the top of the last executed cycle —
-    /// what a per-cycle host mirror (one tick behind) would have
-    /// published after that cycle.
-    std::size_t out_size_at_last_top = 0;
-    std::optional<Word> bus_drive;  ///< drive from the final cycle, if any
-  };
-
-  /// Superstep engine: execute up to `max_cycles` consecutive cycles
-  /// straight from the compiled plan in one fused loop — plan-validity
-  /// check, mode sync and local-slot bookkeeping hoisted out, the
-  /// schedule unrolled over the local-program period.  Returns
-  /// cycles == 0 (and touches nothing) unless the plan is valid and
-  /// current; breaks back to the caller exactly at an impending stall
-  /// (the stall cycle itself is NOT executed — the per-cycle path
-  /// replays it), after any cycle that drives the bus (the new value
-  /// must be visible next cycle), and once host_out reached
-  /// `host_out_stop` with the per-cycle host-visibility lag (size at
-  /// the top of the previous cycle; pass SIZE_MAX for no stop — the
-  /// caller must have admitted the first cycle against its own stop
-  /// condition).  Architectural state, outputs and statistics are
-  /// bit-identical with the same cycles run through step().
-  SuperstepResult run_planned(const ConfigMemory& cfg, Word bus,
-                              HostFifo& host_in,
-                              std::vector<Word>& host_out,
-                              std::uint64_t max_cycles,
-                              std::size_t host_out_stop,
-                              const HostDepthProbe& probe);
+  /// Superstep: a multi-cycle dispatch of the planned engine, up to
+  /// `max_cycles` consecutive cycles straight from the attached plan.
+  /// Returns cycles == 0 (and touches nothing) unless the plan is
+  /// attached, current and unrolled (period within
+  /// kMaxSuperstepPeriod), and the first cycle does not stall.  Breaks
+  /// back to the caller exactly at an impending stall (the stall cycle
+  /// itself is NOT executed — step() replays it), after any cycle that
+  /// drives the bus (the new value must be visible next cycle), and
+  /// once host_out reached `host_out_stop` with the per-cycle
+  /// host-visibility lag (size at the top of the previous cycle; pass
+  /// SIZE_MAX for no stop — the caller must have admitted the first
+  /// cycle against its own stop condition).  Architectural state,
+  /// outputs and statistics are bit-identical with the same cycles run
+  /// through step().
+  CycleResult run_planned(const ConfigMemory& cfg, Word bus,
+                          HostFifo& host_in, std::vector<Word>& host_out,
+                          std::uint64_t max_cycles,
+                          std::size_t host_out_stop,
+                          const HostDepthProbe& probe);
 
   // --- state access ---------------------------------------------------
   Dnode& dnode(std::size_t layer, std::size_t lane);
@@ -218,9 +215,9 @@ class Ring {
   std::uint64_t plan_seq_hits() const noexcept { return plan_seq_hits_; }
   bool plan_cache_enabled() const noexcept { return plan_enabled_; }
   /// Superstep dispatches (run_planned() calls that executed >= 1
-  /// cycle) and total cycles they covered.  Observability only: these
-  /// are the ONLY counters allowed to differ between superstep and
-  /// per-cycle execution.
+  /// cycle) and total cycles they covered; one-cycle step() dispatches
+  /// never count.  Observability only: these are the ONLY counters
+  /// allowed to differ between superstep and per-cycle execution.
   std::uint64_t superstep_dispatches() const noexcept {
     return superstep_dispatches_;
   }
@@ -238,10 +235,10 @@ class Ring {
 
   // --- last-cycle views for event tracing ------------------------------
   // Valid immediately after a non-stalled step(); the System's event
-  // emitter is the only intended consumer.  The planned path maintains
-  // the full per-Dnode views only while trace mode is on (the System
-  // toggles it with the sink) — with tracing off it skips inactive
-  // Dnodes entirely.
+  // emitter is the only intended consumer.  The planned engine
+  // maintains the full per-Dnode views only while trace mode is on (the
+  // System toggles it with the sink) — with tracing off it touches only
+  // the Dnodes that execute.
   std::span<const Dnode::Effects> last_effects() const noexcept {
     return effects_;
   }
@@ -252,7 +249,7 @@ class Ring {
     return is_local_;
   }
   /// Keep the per-Dnode trace views (last_effects/last_fetched) exact
-  /// on the planned path.  The System sets this together with its
+  /// in the planned engine.  The System sets this together with its
   /// event sink.
   void set_trace_views(bool on) noexcept { trace_views_ = on; }
 
@@ -306,9 +303,17 @@ class Ring {
   CycleResult step_interpreted(const ConfigMemory& cfg, Word bus,
                                HostFifo& host_in,
                                std::vector<Word>& host_out);
-  /// Fast path: execute one cycle from a compiled plan.
-  CycleResult step_planned(const CyclePlan& plan, Word bus,
-                           HostFifo& host_in, std::vector<Word>& host_out);
+  /// The planned engine: execute up to `max_cycles` cycles of the
+  /// attached `plan` (see run_planned() for the break rules).  step()
+  /// calls it with a budget of one cycle; run_planned() with more.
+  CycleResult exec_plan(CyclePlan& plan, Word bus, HostFifo& host_in,
+                        std::vector<Word>& host_out,
+                        std::uint64_t max_cycles, std::size_t host_out_stop,
+                        const HostDepthProbe& probe);
+  /// Make the plan's phase schedule match the live local counters
+  /// (rebuilding it if they moved since it was built) and restart the
+  /// phase cursor.
+  void sync_schedule(CyclePlan& plan);
   /// Clock-edge tail of the interpreter: capture pre-edge outputs,
   /// commit every Dnode, latch the feedback pipelines.
   void commit_edge();
@@ -370,8 +375,13 @@ class Ring {
   PlanCacheEntry* current_plan_ = nullptr;
   std::uint64_t plan_use_clock_ = 0;
   bool plan_enabled_ = true;
-  bool mode_synced_ = false;     // planned path applied mode transitions
+  bool mode_synced_ = false;     // planned engine applied mode transitions
   bool pre_outs_valid_ = false;  // pre_outs_[i] == dnodes_[i].out()
+  // The attached plan's schedule was checked against the local counters
+  // and phase_ tracks them.  Cleared with every attachment and by
+  // mutable Dnode access.
+  bool sched_synced_ = false;
+  std::size_t phase_ = 0;        // schedule phase of the next cycle
   bool trace_views_ = false;     // maintain full effects_/fetched_
   std::uint64_t local_generation_ = 0;
   std::uint64_t local_hash_ = 0;
@@ -401,20 +411,6 @@ class Ring {
   std::vector<PortNeed> needs_;
   std::vector<Dnode::Effects> effects_;
   std::vector<Word> pre_outs_;             // [layer * lanes + lane]
-  std::vector<std::uint8_t> local_slot_;   // planned path: slot per Dnode
-  std::vector<std::uint16_t> exec_scratch_;  // planned path: executed Dnodes
-
-  // Superstep scratch (reused across dispatches) + counters.
-  struct SuperExec {
-    std::uint16_t dnode;
-    const PlannedSlot* slot;
-  };
-  std::vector<SuperExec> ss_exec_;       // non-NOP slots, phase-major
-  std::vector<std::uint32_t> ss_begin_;  // [period+1] offsets into ss_exec_
-  std::vector<std::uint32_t> ss_pops_;   // [period] host pops per phase
-  std::vector<std::uint32_t> ss_out_;    // ss_exec_ indices w/ host/bus en
-  std::vector<std::uint32_t> ss_out_begin_;  // [period+1] into ss_out_
-  std::vector<std::uint16_t> ss_active_; // Dnodes live during a superstep
   std::uint64_t superstep_dispatches_ = 0;
   std::uint64_t superstep_cycles_ = 0;
 };

@@ -1,7 +1,6 @@
 #include "sim/system.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "common/error.hpp"
@@ -17,8 +16,6 @@ System::System(const SystemConfig& config)
       host_(config.link) {
   geom_.validate();
   route_marks_.assign(geom_.switch_count(), 0);
-  const char* no_superstep = std::getenv("SRING_NO_SUPERSTEP");
-  superstep_enabled_ = no_superstep == nullptr || *no_superstep == '\0';
 }
 
 void System::load(const LoadableProgram& program) {
@@ -227,8 +224,9 @@ obs::Registry System::metrics() const {
   reg.counter("ring.plan.seq_fusions").set(s.plan_seq_fusions);
   reg.counter("ring.plan.seq_hits").set(s.plan_seq_hits);
 
-  // Superstep engine activity.  These are the ONLY values allowed to
-  // differ between superstep and per-cycle execution of the same run.
+  // Multi-cycle (superstep) dispatches of the planned engine.  These
+  // are the ONLY values allowed to differ between superstep and
+  // per-cycle execution of the same run.
   reg.counter("ring.superstep.dispatches").set(ring_.superstep_dispatches());
   reg.counter("ring.superstep.cycles").set(ring_.superstep_cycles());
 
@@ -293,9 +291,7 @@ obs::Registry System::metrics() const {
 
 std::uint64_t System::try_superstep(std::uint64_t cycle_budget,
                                     std::size_t host_out_stop) {
-  if (!superstep_enabled_ || sink_ != nullptr || !host_.unlimited()) {
-    return 0;
-  }
+  if (sink_ != nullptr || !host_.unlimited()) return 0;
   std::uint64_t cap = cycle_budget;
   const bool waiting = !ctrl_.halted();
   if (waiting) {

@@ -70,16 +70,6 @@ class System {
 
   void run_cycles(std::uint64_t n);
 
-  /// Enable/disable the superstep engine at runtime (A/B comparisons;
-  /// outputs and SystemStats are bit-identical either way, only the
-  /// ring.superstep.* metrics differ).  Also disabled for the whole
-  /// System by the SRING_NO_SUPERSTEP environment variable (any
-  /// non-empty value, read at construction).
-  void set_superstep_enabled(bool enabled) noexcept {
-    superstep_enabled_ = enabled;
-  }
-  bool superstep_enabled() const noexcept { return superstep_enabled_; }
-
   // --- accessors --------------------------------------------------------
   Ring& ring() noexcept { return ring_; }
   const Ring& ring() const noexcept { return ring_; }
@@ -115,13 +105,14 @@ class System {
 
   /// Try to run a fused superstep covering up to `cycle_budget` cycles
   /// (see Ring::run_planned).  Eligible only while per-cycle stepping
-  /// could not observe anything a fused run skips: superstep enabled,
-  /// no trace sink, unlimited host link, and the controller halted or
-  /// inside a multi-cycle WAIT (the fused run is then capped at the
-  /// wake-up).  `host_out_stop` carries run_until_outputs' target into
-  /// the ring (SIZE_MAX otherwise).  Returns the cycles executed, 0
-  /// when ineligible or nothing ran — the caller must then fall back
-  /// to step() so progress is guaranteed.
+  /// could not observe anything a fused run skips: no trace sink,
+  /// unlimited host link, and the controller halted or inside a
+  /// multi-cycle WAIT (the fused run is then capped at the wake-up).
+  /// `host_out_stop` carries run_until_outputs' target into the ring
+  /// (SIZE_MAX otherwise).  Returns the cycles executed, 0 when
+  /// ineligible or nothing ran — the caller must then fall back to
+  /// step(), the same engine at a budget of one cycle, so progress is
+  /// guaranteed.
   std::uint64_t try_superstep(std::uint64_t cycle_budget,
                               std::size_t host_out_stop);
 
@@ -152,8 +143,6 @@ class System {
   }();
   std::array<std::uint64_t, kHostDepthBounds.size() + 1>
       host_depth_counts_{};
-
-  bool superstep_enabled_ = true;
 
   obs::EventSink* sink_ = nullptr;
   std::vector<obs::Track> tracks_;          // built on sink attachment

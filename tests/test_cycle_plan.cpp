@@ -12,6 +12,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/ring.hpp"
+#include "drive_util.hpp"
 #include "kernels/fir_kernel.hpp"
 #include "kernels/mac_kernel.hpp"
 #include "obs/event.hpp"
@@ -266,14 +267,94 @@ TEST(CyclePlan, CompileRejectsWhatTheInterpreterRejects) {
   }
 }
 
+TEST(CyclePlan, OverCapPeriodRunsPlannedBitExact) {
+  // Three local programs of length 5, 7 and 8: the schedule period
+  // (LCM 280) is over the unrolling cap, so the plan keeps one phase,
+  // rebuilt from the live counters each cycle.  It must still run from
+  // the plan, stalls and prev/feedback operands included, bit-exact
+  // with the interpreter — event stream too.
+  static_assert(5 * 7 * 8 > kMaxSuperstepPeriod);
+  std::string src = R"(
+.ring 2 2 8
+.controller
+    page boot
+    halt
+.page boot
+    dnode 0.0 local
+    dnode 0.1 local
+    dnode 1.0 local
+    switch 1.0 in1=prev0 fifo1=fb(1,0,2)
+)";
+  const auto local_program = [&](const char* dnode, int len, bool tail) {
+    src += std::string(".local ") + dnode + "\n{\n";
+    for (int slot = 0; slot < len; ++slot) {
+      if (tail && slot % 3 == 0) {
+        src += "    add r1, in1, fifo1 host\n";
+      } else if (slot % 2 == 0) {
+        src += "    add r0, host, r0 out host\n";
+      } else {
+        src += "    add r0, r0, imm(" + std::to_string(slot) + ") out\n";
+      }
+    }
+    src += "}\n";
+  };
+  local_program("0.0", 5, false);
+  local_program("0.1", 7, false);
+  local_program("1.0", 8, true);
+  const LoadableProgram program = assemble(src);
+  const RingGeometry g{2, 2, 8};
+
+  struct DigestSink : obs::EventSink {
+    void event(const obs::Event& e) override {
+      digest += std::to_string(e.cycle) + ':' + std::to_string(e.track) +
+                ':' + std::string(e.name) + ':' + std::to_string(e.value) +
+                ';';
+    }
+    std::string digest;
+  };
+  struct Run {
+    std::vector<Word> outputs;
+    SystemStats stats;
+    std::uint64_t cycles = 0;
+    std::uint64_t supersteps = 0;
+    std::string events;
+  };
+  const auto run = [&](bool planned, bool traced) {
+    System sys({g});
+    sys.ring().set_plan_cache_enabled(planned);
+    DigestSink sink;
+    if (traced) sys.set_trace(&sink);
+    sys.load(program);
+    sys.host().send(signal(41, 500));
+    sys.run_cycles(600);  // the input runs dry: trailing cycles stall
+    sys.set_trace(nullptr);
+    return Run{sys.host().take_received(), sys.stats(), sys.cycle(),
+               sys.ring().superstep_dispatches(), sink.digest};
+  };
+
+  for (const bool traced : {false, true}) {
+    const Run planned = run(true, traced);
+    const Run interp = run(false, traced);
+    EXPECT_EQ(planned.outputs, interp.outputs);
+    EXPECT_EQ(planned.cycles, interp.cycles);
+    EXPECT_EQ(arch_only(planned.stats).to_string(),
+              arch_only(interp.stats).to_string());
+    EXPECT_EQ(planned.events, interp.events);
+    EXPECT_GT(planned.stats.ring_stall_cycles, 0u);
+    EXPECT_GT(planned.stats.plan_hits, planned.cycles / 2);
+    EXPECT_EQ(planned.supersteps, 0u) << "an over-cap plan is not unrolled";
+  }
+}
+
 // ---------------------------------------------------------------------
-// Superstep engine: the fused run must be observationally identical to
-// per-cycle execution — outputs, full SystemStats (including the plan
-// counters), and every metric except ring.superstep.* — across every
-// boundary that forces it back to single-step.
+// Supersteps: a multi-cycle dispatch of the planned engine must be
+// observationally identical to driving the same engine one step() at a
+// time — outputs, full SystemStats (including the plan counters), and
+// every metric except ring.superstep.* — across every boundary that
+// forces it back to single-step.
 
 /// Metrics snapshot minus the ring.superstep.* counters, the only
-/// instruments the superstep engine is allowed to move.
+/// instruments supersteps are allowed to move.
 std::string metrics_no_superstep(const obs::Registry& reg) {
   obs::JsonValue out = obs::JsonValue::object();
   for (const auto& [name, counter] : reg.counters()) {
@@ -295,14 +376,13 @@ struct SuperRun {
   std::uint64_t ss_cycles = 0;
 };
 
-/// Run `drive` on a fresh System with the superstep engine on or off
-/// and capture everything the engine must not change.
+/// Run `drive` on a fresh System, fused or per-cycle, and capture
+/// everything supersteps must not change.
 template <typename DriveFn>
-SuperRun drive_system(const RingGeometry& g, bool superstep,
+SuperRun drive_system(const RingGeometry& g, const Drive& how,
                       DriveFn&& drive) {
   System sys({g});
-  sys.set_superstep_enabled(superstep);
-  drive(sys);
+  drive(sys, how);
   SuperRun r;
   r.outputs = sys.host().take_received();
   r.stats = sys.stats().to_string();
@@ -319,7 +399,7 @@ void expect_transparent(const SuperRun& on, const SuperRun& off) {
   EXPECT_EQ(on.stats, off.stats);
   EXPECT_EQ(on.metrics, off.metrics);
   EXPECT_EQ(off.dispatches, 0u)
-      << "the disabled engine must never dispatch";
+      << "one-cycle step() dispatches must never count as supersteps";
 }
 
 TEST(Superstep, HostFifoExhaustionAndRefillBitExact) {
@@ -329,22 +409,22 @@ TEST(Superstep, HostFifoExhaustionAndRefillBitExact) {
   const LoadableProgram program =
       kernels::make_spatial_fir_program(g, coeffs);
 
-  const auto drive = [&](System& sys) {
+  const auto drive = [&](System& sys, const Drive& how) {
     sys.load(program);
     // First half, then run long enough to drain the FIFO and sit in
     // ring stalls; refill and finish.  A superstep must break exactly
     // at the exhaustion point and resume after the refill.
     std::vector<Word> first(x.begin(), x.begin() + 60);
     sys.host().send(first);
-    sys.run_cycles(100);
+    how.cycles(sys, 100);
     std::vector<Word> rest(x.begin() + 60, x.end());
     rest.insert(rest.end(), coeffs.size(), 0);  // flush the pipeline
     sys.host().send(rest);
-    sys.run_until_outputs(x.size() + coeffs.size(), 4096);
+    how.until_outputs(sys, x.size() + coeffs.size(), 4096);
   };
 
-  const SuperRun on = drive_system(g, true, drive);
-  const SuperRun off = drive_system(g, false, drive);
+  const SuperRun on = drive_system(g, kFusedDrive, drive);
+  const SuperRun off = drive_system(g, kPerCycleDrive, drive);
   expect_transparent(on, off);
   EXPECT_GT(on.dispatches, 0u);
   EXPECT_GT(on.ss_cycles, 60u) << "the steady phases must run fused";
@@ -365,14 +445,14 @@ TEST(Superstep, BusDriveBreaksDispatchBitExact) {
     dnode 1.0 { pass none, bus host }
 )");
 
-  const auto drive = [&](System& sys) {
+  const auto drive = [&](System& sys, const Drive& how) {
     sys.load(program);
     sys.host().send(signal(22, 48));
-    sys.run_cycles(64);  // trailing cycles stall on the drained FIFO
+    how.cycles(sys, 64);  // trailing cycles stall on the drained FIFO
   };
 
-  const SuperRun on = drive_system(g, true, drive);
-  const SuperRun off = drive_system(g, false, drive);
+  const SuperRun on = drive_system(g, kFusedDrive, drive);
+  const SuperRun off = drive_system(g, kPerCycleDrive, drive);
   expect_transparent(on, off);
   EXPECT_GT(on.dispatches, 0u);
 }
@@ -400,14 +480,14 @@ TEST(Superstep, ControllerWaitAndPageSwapBitExact) {
     dnode 0.0 { pass none, imm(9) host }
 )");
 
-  const auto drive = [&](System& sys) {
+  const auto drive = [&](System& sys, const Drive& how) {
     sys.load(program);
     sys.host().send(signal(23, 40));
-    sys.run_until_halt(400, 6);
+    how.until_halt(sys, 400, 6);
   };
 
-  const SuperRun on = drive_system(g, true, drive);
-  const SuperRun off = drive_system(g, false, drive);
+  const SuperRun on = drive_system(g, kFusedDrive, drive);
+  const SuperRun off = drive_system(g, kPerCycleDrive, drive);
   expect_transparent(on, off);
   EXPECT_GT(on.dispatches, 0u) << "the WAIT window must run fused";
 }
@@ -428,26 +508,36 @@ TEST(Superstep, TraceSinkForcesPerCycleBitExact) {
 
   NullSink sink;
   std::uint64_t dispatches_at_attach = 0;
-  const auto drive = [&](System& sys) {
+  std::uint64_t ss_cycles_at_attach = 0;
+  std::uint64_t hits_at_attach = 0;
+  std::uint64_t hits_at_detach = 0;
+  const auto drive = [&](System& sys, const Drive& how) {
     sys.load(program);
     std::vector<Word> feed = x;
     feed.insert(feed.end(), coeffs.size(), 0);
     sys.host().send(feed);
-    sys.run_cycles(40);
-    if (sys.superstep_enabled()) {
+    how.cycles(sys, 40);
+    if (how.fused) {
       dispatches_at_attach = sys.ring().superstep_dispatches();
+      ss_cycles_at_attach = sys.ring().superstep_cycles();
+      hits_at_attach = sys.ring().plan_hits();
     }
     sys.set_trace(&sink);
-    sys.run_until_outputs(x.size() + coeffs.size(), 4096);
+    how.until_outputs(sys, x.size() + coeffs.size(), 4096);
+    if (how.fused) hits_at_detach = sys.ring().plan_hits();
     sys.set_trace(nullptr);
   };
 
-  const SuperRun on = drive_system(g, true, drive);
+  const SuperRun on = drive_system(g, kFusedDrive, drive);
   EXPECT_GT(on.dispatches, 0u);
   EXPECT_EQ(on.dispatches, dispatches_at_attach)
       << "no fused dispatch may run while a sink is attached";
+  // The traced cycles still run from the plan — as one-cycle step()
+  // dispatches, which ring.superstep.* never counts.
+  EXPECT_GT(hits_at_detach, hits_at_attach);
+  EXPECT_EQ(on.ss_cycles, ss_cycles_at_attach);
 
-  const SuperRun off = drive_system(g, false, drive);
+  const SuperRun off = drive_system(g, kPerCycleDrive, drive);
   expect_transparent(on, off);
 }
 
@@ -462,34 +552,24 @@ TEST(Superstep, ResetForRerunRepeatsBitExact) {
     interleaved.push_back(b[i]);
   }
 
-  for (const bool superstep : {true, false}) {
+  for (const Drive& how : {kFusedDrive, kPerCycleDrive}) {
     System sys({g});
-    sys.set_superstep_enabled(superstep);
     std::vector<Word> first, second;
     sys.load(program);
     sys.host().send(interleaved);
-    sys.run_until_outputs(a.size(), 64 + 16 * a.size());
+    how.until_outputs(sys, a.size(), 64 + 16 * a.size());
     first = sys.host().take_received();
     sys.reset_for_rerun(program);
     sys.host().send(interleaved);
-    sys.run_until_outputs(a.size(), 64 + 16 * a.size());
+    how.until_outputs(sys, a.size(), 64 + 16 * a.size());
     second = sys.host().take_received();
     EXPECT_EQ(first, second)
-        << "rerun diverged with superstep " << (superstep ? "on" : "off");
+        << "rerun diverged, " << (how.fused ? "fused" : "per-cycle");
   }
 }
 
-TEST(Superstep, CountersAndEnvironmentKnob) {
-  {
-    struct ScopedNoSuperstepEnv {
-      ScopedNoSuperstepEnv() { setenv("SRING_NO_SUPERSTEP", "1", 1); }
-      ~ScopedNoSuperstepEnv() { unsetenv("SRING_NO_SUPERSTEP"); }
-    } env;
-    System sys({RingGeometry{2, 1, 4}});
-    EXPECT_FALSE(sys.superstep_enabled());
-  }
+TEST(Superstep, Counters) {
   System sys({RingGeometry{4, 2, 8}});
-  EXPECT_TRUE(sys.superstep_enabled());
 
   const std::vector<Word> a = signal(27, 100);
   const LoadableProgram program = kernels::make_running_mac_program({4, 2, 8});

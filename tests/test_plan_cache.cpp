@@ -14,6 +14,7 @@
 #include "asm/program_builder.hpp"
 #include "common/rng.hpp"
 #include "core/ring.hpp"
+#include "drive_util.hpp"
 #include "sim/system.hpp"
 
 namespace sring {
@@ -85,13 +86,12 @@ struct PageCycleRun {
 
 PageCycleRun run_page_cycle(const LoadableProgram& program,
                             const std::vector<Word>& input,
-                            bool plan_enabled, bool superstep) {
+                            bool plan_enabled, const Drive& how) {
   System sys({kGeom});
   sys.ring().set_plan_cache_enabled(plan_enabled);
-  sys.set_superstep_enabled(superstep);
   sys.load(program);
   sys.host().send(input);
-  sys.run_until_outputs(input.size(), 64 + 16 * input.size());
+  how.until_outputs(sys, input.size(), 64 + 16 * input.size());
   PageCycleRun r;
   r.outputs = sys.host().take_received();
   r.stats = sys.stats();
@@ -109,7 +109,7 @@ TEST(PlanCache, PageRepertoireCompilesOncePerContentAndFuses) {
       make_page_cycle_program(kGeom, kPages, kIters);
   const std::vector<Word> x = signal(31, kPages * kIters);
 
-  const PageCycleRun planned = run_page_cycle(program, x, true, true);
+  const PageCycleRun planned = run_page_cycle(program, x, true, kFusedDrive);
 
   // Ground truth: page p adds p + 1 to its popped word.
   std::vector<Word> expected(x.size());
@@ -146,16 +146,17 @@ TEST(PlanCache, PageRepertoireBitExactAcrossPaths) {
       make_page_cycle_program(kGeom, kPages, kIters);
   const std::vector<Word> x = signal(32, kPages * kIters);
 
-  const PageCycleRun fused = run_page_cycle(program, x, true, true);
-  const PageCycleRun percycle = run_page_cycle(program, x, true, false);
-  const PageCycleRun interp = run_page_cycle(program, x, false, false);
+  const PageCycleRun fused = run_page_cycle(program, x, true, kFusedDrive);
+  const PageCycleRun percycle =
+      run_page_cycle(program, x, true, kPerCycleDrive);
+  const PageCycleRun interp = run_page_cycle(program, x, false, kPerCycleDrive);
 
   EXPECT_EQ(fused.outputs, interp.outputs);
   EXPECT_EQ(percycle.outputs, interp.outputs);
   EXPECT_EQ(fused.cycles, interp.cycles);
   EXPECT_EQ(arch_only(fused.stats).to_string(),
             arch_only(interp.stats).to_string());
-  // The superstep engine may not move anything, plan counters included.
+  // Supersteps may not move anything, plan counters included.
   EXPECT_EQ(fused.stats.to_string(), percycle.stats.to_string());
   EXPECT_EQ(interp.stats.plan_compiles, 0u);
   EXPECT_EQ(interp.stats.plan_hits, 0u);
@@ -171,8 +172,8 @@ TEST(PlanCache, EvictionBoundsCacheAndStaysBitExact) {
       make_page_cycle_program(kGeom, kPages, kIters);
   const std::vector<Word> x = signal(33, kPages * kIters);
 
-  const PageCycleRun planned = run_page_cycle(program, x, true, true);
-  const PageCycleRun interp = run_page_cycle(program, x, false, false);
+  const PageCycleRun planned = run_page_cycle(program, x, true, kFusedDrive);
+  const PageCycleRun interp = run_page_cycle(program, x, false, kPerCycleDrive);
 
   EXPECT_GT(planned.evictions, 0u)
       << "a repertoire wider than the cache must trigger LRU eviction";

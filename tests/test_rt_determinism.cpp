@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "common/error.hpp"
 #include "common/image.hpp"
 #include "common/rng.hpp"
+#include "drive_util.hpp"
 #include "dsp/matvec.hpp"
 #include "kernels/dwt_kernel.hpp"
 #include "kernels/fir_kernel.hpp"
@@ -215,44 +215,41 @@ TEST(RtDeterminism, RerunUnderLinkStallsReproducesStallPattern) {
             first_report);
 }
 
-/// Sets SRING_NO_SUPERSTEP for a scope.  Workers construct their
-/// Systems while a batch is in flight, so the variable must stay set
-/// across the whole submit_batch call.
-class ScopedNoSuperstep {
- public:
-  ScopedNoSuperstep() { setenv("SRING_NO_SUPERSTEP", "1", 1); }
-  ~ScopedNoSuperstep() { unsetenv("SRING_NO_SUPERSTEP"); }
-};
-
 TEST(RtDeterminism, SuperstepEngineTransparentAcrossBatch) {
+  // The fleet runs every job through System's run loops (supersteps
+  // wherever eligible); the reference runs each job on a fresh System
+  // one step() per cycle — the same planned engine at a budget of one.
   Runtime fused({.workers = 4, .queue_capacity = 8});
-  const std::vector<JobResult> with = fused.submit_batch(mixed_batch());
+  const std::vector<Job> batch = mixed_batch();
+  const std::vector<JobResult> with = fused.submit_batch(batch);
 
-  std::vector<JobResult> without;
-  {
-    ScopedNoSuperstep env;
-    Runtime percycle({.workers = 4, .queue_capacity = 8});
-    without = percycle.submit_batch(mixed_batch());
-  }
-
-  ASSERT_EQ(with.size(), without.size());
+  ASSERT_EQ(with.size(), batch.size());
   std::uint64_t fused_dispatches = 0;
   for (std::size_t i = 0; i < with.size(); ++i) {
     ASSERT_TRUE(with[i].ok) << with[i].error;
-    ASSERT_TRUE(without[i].ok) << without[i].error;
-    EXPECT_EQ(with[i].outputs, without[i].outputs) << "job " << i;
+    const Job& job = batch[i];
+    System sys({job.program->geometry, job.link});
+    sys.load(*job.program);
+    sys.host().send(job.input);
+    kPerCycleDrive.job(sys, job);
+    const std::vector<Word> raw = sys.host().take_received();
+    ASSERT_GE(raw.size(), job.discard_prefix + job.take_words);
+    const auto first =
+        raw.begin() + static_cast<std::ptrdiff_t>(job.discard_prefix);
+    const std::vector<Word> without(
+        first, job.take_words == 0
+                   ? raw.end()
+                   : first + static_cast<std::ptrdiff_t>(job.take_words));
+    EXPECT_EQ(with[i].outputs, without) << "job " << i;
     EXPECT_EQ(report_normalized(with[i].report),
-              report_normalized(without[i].report))
+              report_normalized(RunReport::from_system(job.name, sys)))
         << "job " << i;
     const obs::Counter* fused_c =
         with[i].report.metrics.find_counter("ring.superstep.dispatches");
-    const obs::Counter* plain_c =
-        without[i].report.metrics.find_counter("ring.superstep.dispatches");
     ASSERT_NE(fused_c, nullptr);
-    ASSERT_NE(plain_c, nullptr);
     fused_dispatches += fused_c->value();
-    EXPECT_EQ(plain_c->value(), 0u)
-        << "job " << i << ": env knob must reach pooled Systems";
+    EXPECT_EQ(sys.ring().superstep_dispatches(), 0u)
+        << "job " << i << ": step() must never count a superstep";
   }
   EXPECT_GT(fused_dispatches, 0u)
       << "default path must actually exercise the superstep engine";
