@@ -5,7 +5,8 @@
 // dispatches wherever eligible).
 //
 // Runs five steady-state kernels (spatial FIR, stand-alone running
-// MAC, 5/3 wavelet, block matvec8, full-search motion estimation) on
+// MAC, 5/3 wavelet, block matvec8, full-search motion estimation with
+// its search range sized to cover --samples cycles) on
 // the same input three times — plan cache off; plan on, stepped per
 // cycle; plan on through the run loops (the shipped default) — and
 // reports simulated cycles per wall-clock second for each path.  The
@@ -32,6 +33,7 @@
 #include "common/rng.hpp"
 #include "drive_util.hpp"
 #include "dsp/matvec.hpp"
+#include "dsp/sad.hpp"
 #include "kernels/fir_kernel.hpp"
 #include "kernels/jobs.hpp"
 #include "kernels/mac_kernel.hpp"
@@ -278,11 +280,27 @@ int main(int argc, char** argv) {
                                                random_signal(15, n)));
       jobs.back().name = "matvec8";
     }
-    {  // motion estimation: halt-bounded SAD engine with WAIT phases
-      const Image ref = random_image(16, 16, 16);
-      const Image cand = random_image(17, 16, 16);
-      jobs.push_back(
-          kernels::make_motion_estimation_job(kGeom, ref, 4, 4, cand, 2));
+    {  // motion estimation: halt-bounded SAD engine with WAIT phases.
+       // Each batch of `layers` candidates streams one block (64 cycles),
+       // so the search range grows until the run covers `samples` cycles
+       // — a steady-state run, not a fixed one dominated by load and
+       // plan compiles.
+      const std::size_t block_cycles = dsp::kBlockSize * dsp::kBlockSize;
+      const auto batch_cycles = [&](int range) {
+        const auto side = static_cast<std::size_t>(2 * range + 1);
+        return (side * side + kGeom.layers - 1) / kGeom.layers * block_cycles;
+      };
+      int range = 2;
+      while (batch_cycles(range) < samples) ++range;
+      // The block sits at (range, range), so the whole window is inside
+      // the frame.
+      const std::size_t side =
+          2 * static_cast<std::size_t>(range) + dsp::kBlockSize;
+      const auto pos = static_cast<std::size_t>(range);
+      const Image ref = random_image(16, side, side);
+      const Image cand = random_image(17, side, side);
+      jobs.push_back(kernels::make_motion_estimation_job(kGeom, ref, pos, pos,
+                                                         cand, range));
       jobs.back().name = "motion_est";
     }
 
@@ -330,7 +348,7 @@ int main(int argc, char** argv) {
 
     RunReport report;
     report.name = "bench_cycle";
-    report.extra("schema_version", std::uint64_t{2})
+    report.extra("schema_version", std::uint64_t{3})
         .extra("samples", std::uint64_t{samples})
         .extra("reps", std::uint64_t{reps})
         .extra("outputs_bit_identical", true);

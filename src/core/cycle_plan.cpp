@@ -36,6 +36,9 @@ PlannedSlot compile_slot(const RingGeometry& geom, const DnodeInstr& instr,
   ps.nop = instr.op == DnodeOp::kNop;
   if (ps.nop) return ps;  // the interpreter skips routing for NOP
   ps.is_mac = instr.op == DnodeOp::kMac || instr.op == DnodeOp::kMsu;
+  ps.sel_a = instr.src_a;
+  ps.sel_b = op_uses_b(instr.op) ? instr.src_b : DnodeSrc::kZero;
+  ps.sel_c = op_uses_c(instr.op) ? instr.src_c : DnodeSrc::kZero;
 
   const auto compile_port = [&](const PortRoute& p, DnodeSrc src,
                                 PlannedSlot::Port& kind, std::uint16_t& prev,

@@ -49,6 +49,12 @@ struct PlannedSlot {
   DnodeInstr instr{};            ///< decoded copy (owned by the plan)
   bool nop = true;
   bool is_mac = false;           ///< MAC/MSU: counts as two arith ops
+  /// Operand select: the A/B/C sources as indices into the engine's
+  /// per-exec value vector, with an operand the operation ignores
+  /// pinned to kZero (what Dnode::execute feeds the ALU for it).
+  DnodeSrc sel_a = DnodeSrc::kZero;
+  DnodeSrc sel_b = DnodeSrc::kZero;
+  DnodeSrc sel_c = DnodeSrc::kZero;
   Port in1 = Port::kZero;
   Port in2 = Port::kZero;
   std::uint16_t in1_prev = 0;    ///< flat upstream Dnode index (kPrev)

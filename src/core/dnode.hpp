@@ -41,9 +41,9 @@ class Dnode {
 
   /// Evaluate `instr` with this cycle's inputs.  Register and output
   /// writes are staged; nothing is visible until commit().  Defined
-  /// inline (with resolve/commit) so the ring's per-cycle and fused
-  /// superstep loops inline the whole operand-resolve → ALU → stage
-  /// chain without LTO.
+  /// inline (with resolve/commit) so the ring's interpreter inlines the
+  /// whole operand-resolve → ALU → stage chain without LTO; the planned
+  /// engine selects operands itself and latches with latch().
   Effects execute(const DnodeInstr& instr, const Inputs& inputs) {
     Effects eff;
     if (instr.op == DnodeOp::kNop) return eff;
@@ -82,6 +82,18 @@ class Dnode {
 
   /// Drop staged writes (ring stall: the cycle did not happen).
   void discard() noexcept;
+
+  /// Clock edge of the planned engine: write an executed instruction's
+  /// result straight to its destination register and, with outEn, the
+  /// output register.  The engine keeps results in its own scratch until
+  /// the edge, so nothing is staged here; `instr` came through
+  /// DnodeInstr::decode, which range-checked `dst`.
+  void latch(const DnodeInstr& instr, Word result) noexcept {
+    if (instr.dst != DnodeDst::kNone) {
+      regs_.latch(static_cast<std::size_t>(instr.dst) - 1, result);
+    }
+    if (instr.out_en) out_ = result;
+  }
 
   /// Registered systolic output as visible during the current cycle.
   Word out() const noexcept { return out_; }

@@ -11,7 +11,6 @@
 // by d additional cycles.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -46,11 +45,15 @@ class FeedbackPipeline {
   /// per switch per cycle inside the ring's fused loop.  The oldest
   /// stage is overwritten and becomes the new depth-0 stage
   /// (conditional decrement, not modulo — a runtime division dominated
-  /// the latch cost).
+  /// the latch cost).  A plain word loop, not std::copy: a stage is a
+  /// few words, and std::copy of a runtime length becomes a memmove
+  /// call that cost more than the copy.
   void push_from(const Word* upstream_outputs) {
     head_ = (head_ == 0 ? depth_ : head_) - 1;
-    std::copy(upstream_outputs, upstream_outputs + lanes_,
-              stages_.begin() + static_cast<std::ptrdiff_t>(head_ * lanes_));
+    Word* const stage = stages_.data() + head_ * lanes_;
+    for (std::size_t lane = 0; lane < lanes_; ++lane) {
+      stage[lane] = upstream_outputs[lane];
+    }
     ++pushes_;
   }
 

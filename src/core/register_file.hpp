@@ -54,6 +54,15 @@ class RegisterFile {
     regs_[index] = value;
   }
 
+  /// All read ports at once: the values latched at the last clock edge.
+  const std::array<Word, kDnodeRegCount>& values() const noexcept {
+    return regs_;
+  }
+
+  /// Unchecked clock-edge write for the planned engine, which latches
+  /// decoded (range-checked) destinations without staging.
+  void latch(std::size_t index, Word value) noexcept { regs_[index] = value; }
+
  private:
   std::array<Word, kDnodeRegCount> regs_{};
   std::optional<std::pair<std::size_t, Word>> staged_;

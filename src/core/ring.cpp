@@ -43,6 +43,7 @@ Ring::Ring(const RingGeometry& g) : geom_(g) {
   needs_.assign(geom_.dnode_count(), {});
   effects_.assign(geom_.dnode_count(), {});
   pre_outs_.assign(geom_.dnode_count(), 0);
+  results_.assign(geom_.dnode_count(), 0);
   const char* no_plan = std::getenv("SRING_NO_PLAN_CACHE");
   plan_enabled_ = no_plan == nullptr || *no_plan == '\0';
 }
@@ -124,6 +125,7 @@ void Ring::reset_arch_state() {
   bus_conflicts_ = 0;
   superstep_dispatches_ = 0;
   superstep_cycles_ = 0;
+  superstep_exits_ = {};
   current_plan_ = nullptr;
   mode_synced_ = false;
   pre_outs_valid_ = false;
@@ -168,7 +170,13 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
             cfg.geometry().lanes == geom_.lanes,
         "Ring::step: configuration memory geometry mismatch");
 
-  if (!plan_enabled_) return step_interpreted(cfg, bus, host_in, host_out);
+  // An interpreted cycle commits modes itself: the planned engine must
+  // re-sync them at its next advancing cycle.
+  const auto interpret = [&] {
+    mode_synced_ = false;
+    return step_interpreted(cfg, bus, host_in, host_out);
+  };
+  if (!plan_enabled_) return interpret();
 
   // Planned cycles are one-cycle dispatches of the planned engine.
   const auto run_one_cycle = [&](CyclePlan& plan) {
@@ -222,7 +230,7 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
   }
   if (e == nullptr) {
     insert_entry(cfg, key)->sightings = 1;
-    return step_interpreted(cfg, bus, host_in, host_out);
+    return interpret();
   }
   if (e->compiled) {
     ++plan_content_hits_;
@@ -242,7 +250,7 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
     return run_one_cycle(e->plan);
   }
   // First sighting: interpret, compile if the content ever recurs.
-  return step_interpreted(cfg, bus, host_in, host_out);
+  return interpret();
 }
 
 // --- plan cache internals ----------------------------------------------
@@ -367,10 +375,7 @@ void Ring::attach_plan(PlanCacheEntry* e, const ConfigMemory& cfg) {
   e->src_page = cfg.live_page();
   e->src_local_gen = local_generation_;
   e->last_use = ++plan_use_clock_;
-  for (std::size_t i = 0; i < dnodes_.size(); ++i) {
-    is_local_[i] = plan.dnodes[i].is_local;
-  }
-  mode_synced_ = false;
+  mode_synced_ = mode_synced_ && plan.local_dnodes == synced_locals_;
   sched_synced_ = false;
   current_plan_ = e;
   note_attach(e);
@@ -634,6 +639,18 @@ Ring::CycleResult Ring::run_planned(const ConfigMemory& cfg, Word bus,
     ++superstep_dispatches_;
     superstep_cycles_ += res.cycles;
     plan_hits_ += res.cycles;
+    // The engine's break condition, re-tested in its order on the
+    // dispatch's result; none of the first three means the next cycle
+    // would have stalled.
+    SuperstepExit why = SuperstepExit::kHostStall;
+    if (res.bus_drive.has_value()) {
+      why = SuperstepExit::kBusDrive;
+    } else if (res.cycles >= max_cycles) {
+      why = SuperstepExit::kBudget;
+    } else if (res.out_size_at_last_top >= host_out_stop) {
+      why = SuperstepExit::kOutputStop;
+    }
+    ++superstep_exits_[static_cast<std::size_t>(why)];
   }
   return res;
 }
@@ -717,10 +734,11 @@ Ring::CycleResult Ring::exec_plan(CyclePlan& plan, Word bus, HostFifo& host_in,
   if (host_in.size() < plan.sched_pops[phase]) return {};
 
   if (!mode_synced_) {
-    // First advancing cycle under this attachment: commit mode
+    // First advancing cycle under a new mode vector: commit mode
     // transitions exactly as the interpreter would.  Modes cannot
-    // change while the plan stays attached, so this runs once per
-    // attach.
+    // change while the plan stays attached, and a re-attachment with
+    // the same local-Dnode set keeps them (see attach_plan), so this
+    // runs once per change of mode vector.
     for (const std::uint16_t i : plan.local_dnodes) {
       if (last_mode_[i] == DnodeMode::kGlobal) {
         dnodes_[i].local().reset_counter();
@@ -730,6 +748,7 @@ Ring::CycleResult Ring::exec_plan(CyclePlan& plan, Word bus, HostFifo& host_in,
     for (const std::uint16_t i : plan.global_dnodes) {
       last_mode_[i] = DnodeMode::kGlobal;
     }
+    synced_locals_ = plan.local_dnodes;
     mode_synced_ = true;
   }
 
@@ -789,16 +808,16 @@ Ring::CycleResult Ring::exec_plan(CyclePlan& plan, Word bus, HostFifo& host_in,
     // Execute the phase, counting per-exec statistics as they happen:
     // a second, closed-form pass after the loop would cost a one-cycle
     // dispatch more than it saves a long one.
-    const PlannedExec* const e =
-        plan.sched_exec.data() + plan.sched_begin[phase];
+    const std::uint32_t base = plan.sched_begin[phase];
+    const PlannedExec* const e = plan.sched_exec.data() + base;
     const PlannedExec* const e_end =
         plan.sched_exec.data() + plan.sched_begin[phase + 1];
+    Word* const res = results_.data();
     for (const PlannedExec* it = e; it != e_end; ++it) {
       const PlannedSlot& ps = *it->slot;
-      Dnode::Inputs in;
-      in.bus = bus;
-      const auto resolve = [&](PlannedSlot::Port kind, std::uint16_t prev,
-                               const FeedbackAddr& fb) -> Word {
+      const std::size_t d = it->dnode;
+      const auto port = [&](PlannedSlot::Port kind, std::uint16_t prev,
+                            const FeedbackAddr& fb) -> Word {
         switch (kind) {
           case PlannedSlot::Port::kZero:
             return 0;
@@ -814,34 +833,54 @@ Ring::CycleResult Ring::exec_plan(CyclePlan& plan, Word bus, HostFifo& host_in,
         }
         return 0;
       };
-      in.in1 = resolve(ps.in1, ps.in1_prev, ps.in1_fb);
-      in.in2 = resolve(ps.in2, ps.in2_prev, ps.in2_fb);
-      if (ps.read_fifo1) {
-        in.fifo1 =
-            pipes_[ps.fifo1.pipe].read_fast(ps.fifo1.lane, ps.fifo1.depth);
-        note_fb_read(ps.fifo1);
-      }
-      if (ps.read_fifo2) {
-        in.fifo2 =
-            pipes_[ps.fifo2.pipe].read_fast(ps.fifo2.lane, ps.fifo2.depth);
-        note_fb_read(ps.fifo2);
-      }
-      if (ps.direct_pop) in.host = host_in.pop();
-
-      effects_[it->dnode] = dnodes_[it->dnode].execute(ps.instr, in);
+      const auto fifo = [&](bool read, const FeedbackAddr& fb) -> Word {
+        if (!read) return 0;
+        note_fb_read(fb);
+        return pipes_[fb.pipe].read_fast(fb.lane, fb.depth);
+      };
+      // Operand select: every value the instruction can name, indexed by
+      // DnodeSrc.  The statement order is the host pop order: in1, in2,
+      // then the direct host operand.
+      const auto& regs = dnodes_[d].regs().values();
+      const Word v[static_cast<std::size_t>(DnodeSrc::kSrcCount)] = {
+          0,
+          port(ps.in1, ps.in1_prev, ps.in1_fb),
+          port(ps.in2, ps.in2_prev, ps.in2_fb),
+          fifo(ps.read_fifo1, ps.fifo1),
+          fifo(ps.read_fifo2, ps.fifo2),
+          bus,
+          ps.direct_pop ? host_in.pop() : Word{0},
+          ps.instr.imm,
+          regs[0],
+          regs[1],
+          regs[2],
+          regs[3],
+      };
+      const Word r =
+          alu_execute(ps.instr.op, v[static_cast<std::size_t>(ps.sel_a)],
+                      v[static_cast<std::size_t>(ps.sel_b)],
+                      v[static_cast<std::size_t>(ps.sel_c)]);
+      res[it - e] = r;
       ++ops;
       arith += ps.is_mac ? 2u : 1u;
-      ++ops_per_dnode_[it->dnode];
-      if (ps.is_mac) ++mac_ops_per_dnode_[it->dnode];
+      ++ops_per_dnode_[d];
+      if (ps.is_mac) ++mac_ops_per_dnode_[d];
+      if (trace_views_) {
+        effects_[d] = {.executed = true,
+                       .result = r,
+                       .out_en = ps.instr.out_en,
+                       .bus_en = ps.instr.bus_en,
+                       .host_en = ps.instr.host_en};
+      }
     }
     words_in += need;
 
     // Clock edge.  pre_outs_ holds the pre-edge output vector (the
-    // invariant), so pipelines and taps latch from it directly;
-    // committing only the executed Dnodes is equivalent to the
-    // interpreter's commit_edge() — a Dnode with nothing staged commits
-    // to its own current state, and local counters are fixed up in one
-    // advance_by() below.
+    // invariant), so pipelines and taps latch from it directly; then
+    // each executed Dnode latches its result straight from the scratch
+    // — equivalent to the interpreter's commit_edge(), since a Dnode
+    // that did not execute commits to its own current state.  Local
+    // counters are fixed up in one advance_by() below.
     for (std::size_t s = 0; s < switches; ++s) {
       pipes_[s].push_from(pre_outs_.data() + upstream_layer(s) * lanes);
     }
@@ -852,23 +891,26 @@ Ring::CycleResult Ring::exec_plan(CyclePlan& plan, Word bus, HostFifo& host_in,
     }
     words_out += plan.host_taps.size();
     for (const PlannedExec* it = e; it != e_end; ++it) {
-      dnodes_[it->dnode].commit(false);
-      pre_outs_[it->dnode] = dnodes_[it->dnode].out();  // the invariant
+      const DnodeInstr& instr = it->slot->instr;
+      const Word r = res[it - e];
+      dnodes_[it->dnode].latch(instr, r);
+      if (instr.out_en) pre_outs_[it->dnode] = r;  // the invariant
     }
     const std::uint32_t* o =
         plan.sched_out.data() + plan.sched_out_begin[phase];
     const std::uint32_t* const o_end =
         plan.sched_out.data() + plan.sched_out_begin[phase + 1];
     for (; o != o_end; ++o) {
-      const Dnode::Effects& eff = effects_[plan.sched_exec[*o].dnode];
-      if (eff.host_en) {
-        host_out.push_back(eff.result);
+      const DnodeInstr& instr = plan.sched_exec[*o].slot->instr;
+      const Word r = res[*o - base];
+      if (instr.host_en) {
+        host_out.push_back(r);
         ++words_out;
       }
-      if (eff.bus_en) {
+      if (instr.bus_en) {
         ++bus_drives_;
         if (drive.has_value()) ++bus_conflicts_;
-        drive = eff.result;
+        drive = r;
       }
     }
 

@@ -53,6 +53,7 @@
 // interpreter.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -224,6 +225,21 @@ class Ring {
   std::uint64_t superstep_cycles() const noexcept {
     return superstep_cycles_;
   }
+  /// Why a superstep handed back to its caller, tested in this order
+  /// after each cycle: the cycle drove the bus, the cycle budget is
+  /// spent, the host-out stop is reached, the next cycle would stall on
+  /// the host input.  Each dispatch counts its first reason, so the four
+  /// counts sum to superstep_dispatches().
+  enum class SuperstepExit : std::uint8_t {
+    kBusDrive,
+    kBudget,
+    kOutputStop,
+    kHostStall,
+    kCount,
+  };
+  std::uint64_t superstep_exits(SuperstepExit why) const noexcept {
+    return superstep_exits_[static_cast<std::size_t>(why)];
+  }
   /// Enable/disable the cycle-plan cache at runtime (A/B comparisons).
   /// Disabling detaches the current plan without counting an
   /// invalidation — it is a tooling action, not a configuration write.
@@ -244,9 +260,6 @@ class Ring {
   }
   const std::vector<const DnodeInstr*>& last_fetched() const noexcept {
     return fetched_;
-  }
-  const std::vector<bool>& last_is_local() const noexcept {
-    return is_local_;
   }
   /// Keep the per-Dnode trace views (last_effects/last_fetched) exact
   /// in the planned engine.  The System sets this together with its
@@ -375,7 +388,13 @@ class Ring {
   PlanCacheEntry* current_plan_ = nullptr;
   std::uint64_t plan_use_clock_ = 0;
   bool plan_enabled_ = true;
-  bool mode_synced_ = false;     // planned engine applied mode transitions
+  // last_mode_ holds the attached plan's modes: synced_locals_ (the
+  // local-Dnode set the planned engine last committed) equals the plan's
+  // local set.  An attachment with the same set keeps the flag, so page
+  // rotations over one mode vector skip the O(n) mode sync; interpreted
+  // cycles and resets clear it.
+  bool mode_synced_ = false;
+  std::vector<std::uint16_t> synced_locals_;
   bool pre_outs_valid_ = false;  // pre_outs_[i] == dnodes_[i].out()
   // The attached plan's schedule was checked against the local counters
   // and phase_ tracks them.  Cleared with every attachment and by
@@ -409,10 +428,14 @@ class Ring {
   std::vector<const DnodeInstr*> fetched_;
   std::vector<bool> is_local_;
   std::vector<PortNeed> needs_;
-  std::vector<Dnode::Effects> effects_;
+  std::vector<Dnode::Effects> effects_;     // planned: trace views only
   std::vector<Word> pre_outs_;             // [layer * lanes + lane]
+  std::vector<Word> results_;  // planned: one phase's results, exec order
   std::uint64_t superstep_dispatches_ = 0;
   std::uint64_t superstep_cycles_ = 0;
+  std::array<std::uint64_t,
+             static_cast<std::size_t>(SuperstepExit::kCount)>
+      superstep_exits_{};
 };
 
 }  // namespace sring

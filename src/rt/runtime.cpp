@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <exception>
+#include <string_view>
 #include <utility>
 
 #include "common/error.hpp"
@@ -132,10 +133,13 @@ void Runtime::worker_main(std::size_t index) {
         reg.counter("ring.plan.compiles").add(s.plan_compiles);
         reg.counter("ring.plan.hits").add(s.plan_hits);
         reg.counter("ring.plan.invalidations").add(s.plan_invalidations);
-        for (const char* key :
-             {"ring.superstep.dispatches", "ring.superstep.cycles"}) {
-          const obs::Counter* c = result.report.metrics.find_counter(key);
-          if (c != nullptr) reg.counter(key).add(c->value());
+        // Every ring.superstep.* counter (dispatches, cycles, exit
+        // reasons): one ordered range of the job's registry.
+        constexpr std::string_view kSuperstep = "ring.superstep.";
+        const auto& counters = result.report.metrics.counters();
+        for (auto it = counters.lower_bound(kSuperstep);
+             it != counters.end() && it->first.starts_with(kSuperstep); ++it) {
+          reg.counter(it->first).add(it->second.value());
         }
       }
       if (obs::telemetry_enabled()) {

@@ -229,6 +229,15 @@ obs::Registry System::metrics() const {
   // per-cycle execution of the same run.
   reg.counter("ring.superstep.dispatches").set(ring_.superstep_dispatches());
   reg.counter("ring.superstep.cycles").set(ring_.superstep_cycles());
+  using Exit = Ring::SuperstepExit;
+  reg.counter("ring.superstep.exit.bus_drive")
+      .set(ring_.superstep_exits(Exit::kBusDrive));
+  reg.counter("ring.superstep.exit.budget")
+      .set(ring_.superstep_exits(Exit::kBudget));
+  reg.counter("ring.superstep.exit.output_stop")
+      .set(ring_.superstep_exits(Exit::kOutputStop));
+  reg.counter("ring.superstep.exit.host_stall")
+      .set(ring_.superstep_exits(Exit::kHostStall));
 
   reg.counter("host.words_in").set(s.host_words_in);
   reg.counter("host.words_out").set(s.host_words_out);

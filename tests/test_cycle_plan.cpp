@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -591,6 +592,63 @@ TEST(Superstep, Counters) {
   EXPECT_GT(c->value(), a.size() / 2)
       << "a steady local-mode run must spend most cycles fused";
   EXPECT_EQ(sys.ring().superstep_cycles(), c->value());
+
+  // Every superstep hands back for exactly one reason.
+  std::uint64_t exits = 0;
+  for (const char* why : {"bus_drive", "budget", "output_stop", "host_stall"}) {
+    const obs::Counter* e =
+        reg.find_counter(std::string("ring.superstep.exit.") + why);
+    ASSERT_NE(e, nullptr) << why;
+    exits += e->value();
+  }
+  EXPECT_EQ(exits, d->value());
+}
+
+TEST(Superstep, ExitReasons) {
+  // One Dnode popping a host word per cycle; every reason is provoked
+  // once, in isolation, on the attached plan.
+  using Exit = Ring::SuperstepExit;
+  const RingGeometry g{1, 1, 4};
+  ConfigMemory cfg(g);
+  Ring ring(g);
+  HostFifo in;
+  std::vector<Word> out;
+  DnodeInstr eat = pass_out(DnodeSrc::kHost);
+  eat.host_en = true;
+  cfg.write_dnode_instr(0, eat.encode());
+  in.append(signal(31, 64));
+  ring.step(cfg, 0, in, out);  // first sighting: interpreter
+  ring.step(cfg, 0, in, out);  // compiles and attaches
+  constexpr std::size_t kNoStop = std::numeric_limits<std::size_t>::max();
+
+  const auto count = [&](Exit why) { return ring.superstep_exits(why); };
+  EXPECT_EQ(ring.run_planned(cfg, 0, in, out, 5, kNoStop, {}).cycles, 5u);
+  EXPECT_EQ(count(Exit::kBudget), 1u);
+
+  // host_out holds 2 words: the stop at 5 admits cycles whose top saw
+  // 2, 3 and 4 words, then the one that saw 5 hands back.
+  out.resize(2);
+  EXPECT_EQ(ring.run_planned(cfg, 0, in, out, 100, 5, {}).cycles, 4u);
+  EXPECT_EQ(count(Exit::kOutputStop), 1u);
+
+  const std::size_t left = in.size();
+  EXPECT_EQ(ring.run_planned(cfg, 0, in, out, 1000, kNoStop, {}).cycles, left);
+  EXPECT_EQ(count(Exit::kHostStall), 1u);
+  EXPECT_EQ(ring.run_planned(cfg, 0, in, out, 1000, kNoStop, {}).cycles, 0u)
+      << "a dispatch whose first cycle stalls runs nothing and counts nothing";
+
+  // Driving the bus ends the dispatch after that cycle.
+  DnodeInstr drive = pass_out(DnodeSrc::kImm);
+  drive.bus_en = true;
+  cfg.write_dnode_instr(0, drive.encode());
+  ring.step(cfg, 0, in, out);  // new content: interpreter
+  ring.step(cfg, 0, in, out);  // compiles and attaches
+  EXPECT_EQ(ring.run_planned(cfg, 0, in, out, 100, kNoStop, {}).cycles, 1u);
+  EXPECT_EQ(count(Exit::kBusDrive), 1u);
+
+  EXPECT_EQ(count(Exit::kBudget) + count(Exit::kOutputStop) +
+                count(Exit::kHostStall) + count(Exit::kBusDrive),
+            ring.superstep_dispatches());
 }
 
 TEST(CyclePlan, FbReadDepthCountsSizedByGeometry) {

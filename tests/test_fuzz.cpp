@@ -1,10 +1,18 @@
-// Robustness fuzzing: random (but structurally valid) configurations
-// and data must never crash the simulator, must preserve its
-// accounting invariants, and must be fully deterministic.
+// Robustness and differential fuzzing: random (but structurally valid)
+// configurations and data must never crash the simulator, must
+// preserve its accounting invariants, and must run bit-exactly on all
+// three execution paths — the ConfigMemory interpreter, the planned
+// engine one System::step() per cycle, and the planned engine through
+// System's run loops (multi-cycle supersteps).
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "drive_util.hpp"
+#include "obs/json.hpp"
 #include "sim/system.hpp"
 
 namespace sring {
@@ -70,12 +78,36 @@ SwitchRoute random_route(Rng& rng, const RingGeometry& g) {
   return r;
 }
 
+enum class Path { kInterpreter, kPerCycle, kFused };
+
+/// Everything the three paths must agree on.
 struct FuzzOutcome {
   std::vector<Word> outputs;
-  SystemStats stats;
+  SystemStats stats;         ///< plan counters zeroed
+  std::string full_stats;    ///< plan counters included
+  std::vector<Word> dnodes;  ///< per Dnode: out(), then R0..R3
+  std::string metrics;       ///< minus ring.plan.* and ring.superstep.*
+  std::uint64_t plan_hits = 0;
 };
 
-FuzzOutcome run_random_system(std::uint64_t seed) {
+/// Metrics snapshot without the counters that describe which engine
+/// served each cycle rather than the simulated machine.
+std::string machine_metrics(const obs::Registry& reg) {
+  obs::JsonValue out = obs::JsonValue::object();
+  for (const auto& [name, counter] : reg.counters()) {
+    if (name.rfind("ring.plan.", 0) == 0 ||
+        name.rfind("ring.superstep.", 0) == 0) {
+      continue;
+    }
+    out.set(name, counter.value());
+  }
+  for (const auto& [name, hist] : reg.histograms()) {
+    out.set(name, hist.to_json());
+  }
+  return out.dump();
+}
+
+FuzzOutcome run_random_system(std::uint64_t seed, Path path) {
   Rng rng(seed);
   const RingGeometry g = random_geometry(rng);
 
@@ -114,40 +146,70 @@ FuzzOutcome run_random_system(std::uint64_t seed) {
   prog.controller_code = {page0.encode(), wait.encode(), halt.encode()};
 
   System sys({g});
+  if (path == Path::kInterpreter) sys.ring().set_plan_cache_enabled(false);
   sys.load(prog);
   std::vector<Word> feed(2048);
   for (auto& w : feed) w = rng.next_word();
   sys.host().send(feed);
-  sys.run_cycles(500);
+  (path == Path::kFused ? kFusedDrive : kPerCycleDrive).cycles(sys, 500);
 
   FuzzOutcome out;
   out.outputs = sys.host().take_received();
+  out.full_stats = sys.stats().to_string();
   out.stats = sys.stats();
+  out.stats.plan_compiles = 0;
+  out.stats.plan_hits = 0;
+  out.stats.plan_invalidations = 0;
+  out.stats.plan_content_hits = 0;
+  out.stats.plan_evictions = 0;
+  out.stats.plan_seq_fusions = 0;
+  out.stats.plan_seq_hits = 0;
+  const Ring& ring = std::as_const(sys).ring();
+  for (std::size_t i = 0; i < g.dnode_count(); ++i) {
+    const Dnode& d = ring.dnode_flat(i);
+    out.dnodes.push_back(d.out());
+    for (std::size_t r = 0; r < kDnodeRegCount; ++r) {
+      out.dnodes.push_back(d.regs().read(r));
+    }
+  }
+  out.metrics = machine_metrics(sys.metrics());
+  out.plan_hits = ring.plan_hits();
   return out;
+}
+
+void expect_same_machine(const FuzzOutcome& a, const FuzzOutcome& b,
+                         const char* what) {
+  EXPECT_EQ(a.outputs, b.outputs) << what;
+  EXPECT_EQ(a.stats.to_string(), b.stats.to_string()) << what;
+  EXPECT_EQ(a.dnodes, b.dnodes) << what;
+  EXPECT_EQ(a.metrics, b.metrics) << what;
 }
 
 class SystemFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(SystemFuzz, RandomConfigurationsNeverCrash) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  const FuzzOutcome a = run_random_system(seed);
+  const FuzzOutcome interp = run_random_system(seed, Path::kInterpreter);
 
   // Accounting invariants.
-  EXPECT_EQ(a.stats.cycles, 500u);
-  EXPECT_LE(a.stats.dnode_ops, 500u * 32u);
-  EXPECT_LE(a.stats.host_words_in, 2048u);
-  EXPECT_GE(a.stats.arith_ops, a.stats.dnode_ops);
-  EXPECT_LE(a.stats.arith_ops, 2 * a.stats.dnode_ops);
-  EXPECT_EQ(a.outputs.size(), a.stats.host_words_out);
+  EXPECT_EQ(interp.stats.cycles, 500u);
+  EXPECT_LE(interp.stats.dnode_ops, 500u * 32u);
+  EXPECT_LE(interp.stats.host_words_in, 2048u);
+  EXPECT_GE(interp.stats.arith_ops, interp.stats.dnode_ops);
+  EXPECT_LE(interp.stats.arith_ops, 2 * interp.stats.dnode_ops);
+  EXPECT_EQ(interp.outputs.size(), interp.stats.host_words_out);
 
-  // Full determinism: an identical run produces identical results.
-  const FuzzOutcome b = run_random_system(seed);
-  EXPECT_EQ(a.outputs, b.outputs);
-  EXPECT_EQ(a.stats.dnode_ops, b.stats.dnode_ops);
-  EXPECT_EQ(a.stats.host_words_in, b.stats.host_words_in);
+  // The planned engine, per cycle and fused, is the same machine as the
+  // interpreter; fusing cycles leaves even the plan counters alone.
+  const FuzzOutcome per_cycle = run_random_system(seed, Path::kPerCycle);
+  const FuzzOutcome fused = run_random_system(seed, Path::kFused);
+  EXPECT_GT(per_cycle.plan_hits, 0u) << "the planned engine never ran";
+  expect_same_machine(per_cycle, interp, "per-cycle planned vs interpreter");
+  expect_same_machine(fused, interp, "superstep vs interpreter");
+  EXPECT_EQ(fused.full_stats, per_cycle.full_stats);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SystemFuzz, ::testing::Range(0, 40));
+INSTANTIATE_TEST_SUITE_P(Seeds, SystemFuzz, ::testing::Range(0, 200));
 
 }  // namespace
 }  // namespace sring

@@ -62,7 +62,9 @@ std::string report_normalized(RunReport r) {
        {"ring.plan.compiles", "ring.plan.hits", "ring.plan.invalidations",
         "ring.plan.content_hits", "ring.plan.evictions",
         "ring.plan.seq_fusions", "ring.plan.seq_hits",
-        "ring.superstep.dispatches", "ring.superstep.cycles"}) {
+        "ring.superstep.dispatches", "ring.superstep.cycles",
+        "ring.superstep.exit.bus_drive", "ring.superstep.exit.budget",
+        "ring.superstep.exit.output_stop", "ring.superstep.exit.host_stall"}) {
     r.metrics.counter(name).set(0);
   }
   return r.to_json().dump();

@@ -215,6 +215,20 @@ TEST(Runtime, MetricsAggregateAcrossWorkers) {
     if (c != nullptr) per_worker_sum += c->value();
   }
   EXPECT_EQ(per_worker_sum, 8u);
+
+  // The jobs' superstep counters fold in too, and the exit reasons
+  // still sum to the dispatches.
+  const obs::Counter* dispatches = m.find_counter("ring.superstep.dispatches");
+  ASSERT_NE(dispatches, nullptr);
+  EXPECT_GT(dispatches->value(), 0u);
+  std::uint64_t exits = 0;
+  for (const char* why : {"bus_drive", "budget", "output_stop", "host_stall"}) {
+    const obs::Counter* e =
+        m.find_counter(std::string("ring.superstep.exit.") + why);
+    ASSERT_NE(e, nullptr) << why;
+    exits += e->value();
+  }
+  EXPECT_EQ(exits, dispatches->value());
 }
 
 TEST(Runtime, SubmitAfterShutdownThrows) {
