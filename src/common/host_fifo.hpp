@@ -40,6 +40,14 @@ class HostFifo {
   /// Pop and return the front word (the hot-path form).
   Word pop() noexcept { return buf_[head_++]; }
 
+  /// The live words in place: front_ptr()[i] == at(i) for i < size().
+  /// Valid until the next push; lets the planned engine read a whole
+  /// cycle's pops by offset and then drop them with one skip().
+  const Word* front_ptr() const noexcept { return buf_.data() + head_; }
+
+  /// Pop `n` <= size() words at once.
+  void skip(std::size_t n) noexcept { head_ += n; }
+
   void push_back(Word w) {
     reclaim();
     buf_.push_back(w);

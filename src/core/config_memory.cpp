@@ -1,5 +1,6 @@
 #include "core/config_memory.hpp"
 
+#include <algorithm>
 #include <atomic>
 
 #include "common/error.hpp"
@@ -171,6 +172,7 @@ std::size_t ConfigMemory::add_page(ConfigPage page) {
           "ConfigMemory::add_page: bad mode value");
   }
   pages_decoded_.push_back(decode_page(page));  // validates all words
+  page_swaps_.emplace_back();
   page_hashes_.push_back(hash_page(page));
   pages_.push_back(std::move(page));
   return pages_.size() - 1;
@@ -183,25 +185,29 @@ void ConfigMemory::apply_page(std::size_t index) {
     // Page-to-page swap: the per-switch decoded-route diff depends
     // only on the immutable (from, to) pair, so it is computed once
     // and replayed as counter bumps on every later swap.
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(live_page_) << 32) |
-        static_cast<std::uint64_t>(index);
-    auto it = page_diffs_.find(key);
-    if (it == page_diffs_.end()) {
-      std::vector<std::uint64_t> diffs(geom_.switch_count(), 0);
-      const DecodedPage& from = pages_decoded_[static_cast<std::size_t>(
-          live_page_)];
+    const auto from_index = static_cast<std::size_t>(live_page_);
+    std::vector<PageSwap>& swaps = page_swaps_[from_index];
+    auto it = std::find_if(swaps.begin(), swaps.end(),
+                           [&](const PageSwap& s) { return s.to == index; });
+    if (it == swaps.end()) {
+      PageSwap swap;
+      swap.to = index;
+      const DecodedPage& from = pages_decoded_[from_index];
       for (std::size_t sw = 0; sw < geom_.switch_count(); ++sw) {
+        std::uint32_t lanes = 0;
         for (std::size_t lane = 0; lane < geom_.lanes; ++lane) {
           const std::size_t i = sw * geom_.lanes + lane;
-          if (!(from.route[i] == to.route[i])) ++diffs[sw];
+          if (!(from.route[i] == to.route[i])) ++lanes;
+        }
+        if (lanes > 0) {
+          swap.changes.emplace_back(static_cast<std::uint32_t>(sw), lanes);
         }
       }
-      it = page_diffs_.emplace(key, std::move(diffs)).first;
+      swaps.push_back(std::move(swap));
+      it = swaps.end() - 1;
     }
-    const std::vector<std::uint64_t>& diffs = it->second;
-    for (std::size_t sw = 0; sw < geom_.switch_count(); ++sw) {
-      route_changes_per_switch_[sw] += diffs[sw];
+    for (const auto& [sw, lanes] : it->changes) {
+      route_changes_per_switch_[sw] += lanes;
     }
   } else {
     for (std::size_t sw = 0; sw < geom_.switch_count(); ++sw) {

@@ -18,7 +18,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/switch.hpp"
@@ -197,10 +197,16 @@ class ConfigMemory {
   std::vector<DecodedPage> pages_decoded_;
   std::vector<std::uint64_t> page_hashes_;
   std::ptrdiff_t live_page_ = -1;
-  /// Memoized per-switch decoded-route diff counts for (from page, to
-  /// page) swaps, keyed from << 32 | to.  Pages are immutable, so a
-  /// computed diff never goes stale.
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> page_diffs_;
+  /// Memoized decoded-route diff of one page-to-page swap: the
+  /// switches whose routes differ and by how many lanes.  Pages are
+  /// immutable, so a computed diff never goes stale.
+  struct PageSwap {
+    std::size_t to = 0;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> changes;
+  };
+  /// [from page]: the swaps seen out of it.  A page rotation has one
+  /// successor per page, so the lookup is one compare.
+  std::vector<std::vector<PageSwap>> page_swaps_;
   std::uint64_t words_written_ = 0;
   std::vector<std::uint64_t> route_changes_per_switch_;
   ConfigIdentity identity_;

@@ -28,21 +28,17 @@ std::size_t lcm_of(std::size_t a, std::size_t b) noexcept {
 /// are range-checked whether or not the instruction reads them (the
 /// interpreter samples all four unconditionally), while operand
 /// resolution — and host pops — happen only for sources the
-/// instruction consumes.
+/// instruction consumes.  Immediates go to the plan's constant pool.
 PlannedSlot compile_slot(const RingGeometry& geom, const DnodeInstr& instr,
-                         const SwitchRoute& route, std::size_t up_layer) {
+                         const SwitchRoute& route, std::size_t up_layer,
+                         std::vector<Word>& consts) {
   PlannedSlot ps;
   ps.instr = instr;
   ps.nop = instr.op == DnodeOp::kNop;
   if (ps.nop) return ps;  // the interpreter skips routing for NOP
   ps.is_mac = instr.op == DnodeOp::kMac || instr.op == DnodeOp::kMsu;
-  ps.sel_a = instr.src_a;
-  ps.sel_b = op_uses_b(instr.op) ? instr.src_b : DnodeSrc::kZero;
-  ps.sel_c = op_uses_c(instr.op) ? instr.src_c : DnodeSrc::kZero;
 
-  const auto compile_port = [&](const PortRoute& p, DnodeSrc src,
-                                PlannedSlot::Port& kind, std::uint16_t& prev,
-                                FeedbackAddr& fb) {
+  const auto check_port = [&](const PortRoute& p) {
     switch (p.kind) {
       case RouteKind::kZero:
       case RouteKind::kHost:
@@ -57,43 +53,94 @@ PlannedSlot compile_slot(const RingGeometry& geom, const DnodeInstr& instr,
       case RouteKind::kKindCount:
         throw SimError("Ring: bad route kind");
     }
-    if (!instr_reads(instr, src)) return;  // operand unused: stays kZero
-    switch (p.kind) {
-      case RouteKind::kZero:
-        break;
-      case RouteKind::kPrev:
-        kind = PlannedSlot::Port::kPrev;
-        prev = static_cast<std::uint16_t>(up_layer * geom.lanes + p.lane);
-        break;
-      case RouteKind::kHost:
-        kind = PlannedSlot::Port::kHost;
-        ++ps.pops;
-        break;
-      case RouteKind::kFeedback:
-        kind = PlannedSlot::Port::kFeedback;
-        fb = p.fb;
-        break;
-      case RouteKind::kBus:
-        kind = PlannedSlot::Port::kBus;
-        break;
-      case RouteKind::kKindCount:
-        break;
-    }
   };
-  compile_port(route.in1, DnodeSrc::kIn1, ps.in1, ps.in1_prev, ps.in1_fb);
-  compile_port(route.in2, DnodeSrc::kIn2, ps.in2, ps.in2_prev, ps.in2_fb);
-
+  check_port(route.in1);
+  check_port(route.in2);
   route.fifo1.check_in_range(geom.switch_count(), geom.lanes, geom.fb_depth);
   route.fifo2.check_in_range(geom.switch_count(), geom.lanes, geom.fb_depth);
-  ps.read_fifo1 = instr_reads(instr, DnodeSrc::kFifo1);
-  ps.read_fifo2 = instr_reads(instr, DnodeSrc::kFifo2);
-  ps.fifo1 = route.fifo1;
-  ps.fifo2 = route.fifo2;
 
-  if (instr_reads(instr, DnodeSrc::kHost)) {
-    ps.direct_pop = true;
-    ++ps.pops;
+  // Host pops in the documented port order: in1, in2, direct operand.
+  const bool in1_pops = route.in1.kind == RouteKind::kHost &&
+                        instr_reads(instr, DnodeSrc::kIn1);
+  const bool in2_pops = route.in2.kind == RouteKind::kHost &&
+                        instr_reads(instr, DnodeSrc::kIn2);
+  const bool direct_pops = instr_reads(instr, DnodeSrc::kHost);
+  const auto in1_pop = std::uint16_t{0};
+  const auto in2_pop = static_cast<std::uint16_t>(in1_pops);
+  const auto direct_pop = static_cast<std::uint16_t>(in1_pops + in2_pops);
+  ps.pops = static_cast<std::uint8_t>(in1_pops + in2_pops + direct_pops);
+
+  const auto fb_operand = [&](const FeedbackAddr& a) -> Operand {
+    return {OperandBase::kFeedback,
+            static_cast<std::uint16_t>(
+                a.depth * geom.dnode_count() +
+                upstream_of(geom, a.pipe) * geom.lanes + a.lane)};
+  };
+  const auto port_operand = [&](const PortRoute& p,
+                                std::uint16_t pop) -> Operand {
+    switch (p.kind) {
+      case RouteKind::kPrev:
+        return {OperandBase::kPreOuts,
+                static_cast<std::uint16_t>(up_layer * geom.lanes + p.lane)};
+      case RouteKind::kHost:
+        return {OperandBase::kHost, pop};
+      case RouteKind::kFeedback:
+        return fb_operand(p.fb);
+      case RouteKind::kBus:
+        return {OperandBase::kConst, kConstBus};
+      default:
+        return {OperandBase::kConst, kConstZero};
+    }
+  };
+  const auto operand = [&](DnodeSrc src) -> Operand {
+    switch (src) {
+      case DnodeSrc::kIn1:
+        return port_operand(route.in1, in1_pop);
+      case DnodeSrc::kIn2:
+        return port_operand(route.in2, in2_pop);
+      case DnodeSrc::kFifo1:
+        return fb_operand(route.fifo1);
+      case DnodeSrc::kFifo2:
+        return fb_operand(route.fifo2);
+      case DnodeSrc::kBus:
+        return {OperandBase::kConst, kConstBus};
+      case DnodeSrc::kHost:
+        return {OperandBase::kHost, direct_pop};
+      case DnodeSrc::kImm:
+        consts.push_back(instr.imm);
+        return {OperandBase::kConst,
+                static_cast<std::uint16_t>(consts.size() - 1)};
+      case DnodeSrc::kR0:
+      case DnodeSrc::kR1:
+      case DnodeSrc::kR2:
+      case DnodeSrc::kR3:
+        return {OperandBase::kRegs,
+                static_cast<std::uint16_t>(static_cast<std::size_t>(src) -
+                                           static_cast<std::size_t>(
+                                               DnodeSrc::kR0))};
+      default:
+        return {OperandBase::kConst, kConstZero};
+    }
+  };
+  ps.operand[0] = operand(instr.src_a);
+  if (op_uses_b(instr.op)) ps.operand[1] = operand(instr.src_b);
+  if (op_uses_c(instr.op)) ps.operand[2] = operand(instr.src_c);
+
+  // Feedback-occupancy statistics: the reads the instruction consumes,
+  // counted once per port as the interpreter does.
+  const auto note_fb = [&](const FeedbackAddr& a) {
+    ps.fb_read[ps.fb_reads++] = a;
+  };
+  if (route.in1.kind == RouteKind::kFeedback &&
+      instr_reads(instr, DnodeSrc::kIn1)) {
+    note_fb(route.in1.fb);
   }
+  if (route.in2.kind == RouteKind::kFeedback &&
+      instr_reads(instr, DnodeSrc::kIn2)) {
+    note_fb(route.in2.fb);
+  }
+  if (instr_reads(instr, DnodeSrc::kFifo1)) note_fb(route.fifo1);
+  if (instr_reads(instr, DnodeSrc::kFifo2)) note_fb(route.fifo2);
   return ps;
 }
 
@@ -103,9 +150,9 @@ void compile_cycle_plan(const RingGeometry& geom, const ConfigMemory& cfg,
                         const std::vector<Dnode>& dnodes, CyclePlan& plan) {
   const std::size_t n = geom.dnode_count();
   plan.valid = false;
-  plan.static_pops = 0;
   plan.period = 1;
   plan.dnodes.assign(n, PlannedDnode{});
+  plan.consts.assign({0, 0});  // kConstZero, kConstBus
   plan.local_dnodes.clear();
   plan.global_dnodes.clear();
   plan.host_taps.clear();
@@ -124,7 +171,8 @@ void compile_cycle_plan(const RingGeometry& geom, const ConfigMemory& cfg,
         // The counter never exceeds LIMIT (writes clamp, advance
         // wraps), so slots above it are unreachable and stay NOP.
         for (std::size_t s = 0; s <= lc.limit(); ++s) {
-          pd.local[s] = compile_slot(geom, lc.instr_at(s), route, up);
+          pd.local[s] = compile_slot(geom, lc.instr_at(s), route, up,
+                                     plan.consts);
         }
         pd.local_len = static_cast<std::uint8_t>(lc.limit() + 1);
         if (plan.period != 0) {
@@ -135,8 +183,8 @@ void compile_cycle_plan(const RingGeometry& geom, const ConfigMemory& cfg,
         }
       } else {
         plan.global_dnodes.push_back(static_cast<std::uint16_t>(i));
-        pd.global = compile_slot(geom, cfg.dnode_instr(i), route, up);
-        plan.static_pops += pd.global.pops;
+        pd.global =
+            compile_slot(geom, cfg.dnode_instr(i), route, up, plan.consts);
       }
     }
   }

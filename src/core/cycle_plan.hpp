@@ -37,36 +37,46 @@
 
 namespace sring {
 
-/// Everything one Dnode needs to execute one specific microinstruction:
-/// the decoded instruction plus its operand routing with all validation
-/// hoisted to compile time.
-struct PlannedSlot {
-  /// Pre-resolved source of one input port.  kHost always pops (a host
-  /// route whose operand the instruction never reads compiles to
-  /// kZero, matching the interpreter's "no pop, value 0" behaviour).
-  enum class Port : std::uint8_t { kZero, kPrev, kHost, kFeedback, kBus };
+/// Where a pre-addressed operand lives.  The planned engine points each
+/// base at its storage once per cycle (kRegs once per executed slot), so
+/// reading an operand is one indexed load.
+enum class OperandBase : std::uint8_t {
+  kConst,     ///< the plan's constant pool (CyclePlan::consts)
+  kPreOuts,   ///< pre-edge output vector, by flat Dnode index
+  kFeedback,  ///< feedback bank window: depth * dnodes + flat lane
+  kHost,      ///< the cycle's host-pop window, by pop ordinal
+  kRegs,      ///< the executing Dnode's register file
+  kCount,
+};
 
+/// One pre-addressed operand: the value is base[off].
+struct Operand {
+  OperandBase base = OperandBase::kConst;
+  std::uint16_t off = 0;
+};
+
+/// Constant-pool layout: word 0 is zero, word 1 the dispatch's bus
+/// value (rewritten by every dispatch), immediates follow.
+inline constexpr std::uint16_t kConstZero = 0;
+inline constexpr std::uint16_t kConstBus = 1;
+
+/// Everything one Dnode needs to execute one specific microinstruction:
+/// the decoded instruction plus its operands and statistics with all
+/// route decoding and validation hoisted to compile time.
+struct PlannedSlot {
   DnodeInstr instr{};            ///< decoded copy (owned by the plan)
   bool nop = true;
   bool is_mac = false;           ///< MAC/MSU: counts as two arith ops
-  /// Operand select: the A/B/C sources as indices into the engine's
-  /// per-exec value vector, with an operand the operation ignores
-  /// pinned to kZero (what Dnode::execute feeds the ALU for it).
-  DnodeSrc sel_a = DnodeSrc::kZero;
-  DnodeSrc sel_b = DnodeSrc::kZero;
-  DnodeSrc sel_c = DnodeSrc::kZero;
-  Port in1 = Port::kZero;
-  Port in2 = Port::kZero;
-  std::uint16_t in1_prev = 0;    ///< flat upstream Dnode index (kPrev)
-  std::uint16_t in2_prev = 0;
-  FeedbackAddr in1_fb{};         ///< pre-validated (kFeedback)
-  FeedbackAddr in2_fb{};
-  bool read_fifo1 = false;       ///< instruction consumes fifo1/fifo2
-  bool read_fifo2 = false;
-  FeedbackAddr fifo1{};          ///< pre-validated
-  FeedbackAddr fifo2{};
-  bool direct_pop = false;       ///< instruction reads the HOST source
+  /// A, B, C.  An operand the operation ignores reads constant zero
+  /// (what Dnode::execute feeds the ALU for it).  kHost offsets are
+  /// ordinals among this slot's own pops (in1, in2, then direct);
+  /// the schedule rebases them to the phase.
+  std::array<Operand, 3> operand{};
   std::uint8_t pops = 0;         ///< host words this slot consumes
+  /// Feedback reads the instruction consumes (ports it reads through a
+  /// feedback route, then fifo1/fifo2): the fb_read statistics.
+  std::uint8_t fb_reads = 0;
+  std::array<FeedbackAddr, 4> fb_read{};
 };
 
 /// Per-Dnode plan: one slot in global mode, the whole local
@@ -85,10 +95,25 @@ struct HostTapPlan {
   std::uint32_t sw = 0;   ///< owning switch (per-switch statistics)
 };
 
-/// One executing (non-NOP) slot of the unrolled phase schedule.
+/// One executing (non-NOP) slot of the unrolled phase schedule, lowered
+/// to an operand record: operands addressed relative to the phase
+/// (kHost offsets are pop ordinals within the cycle, in the documented
+/// order) plus what the clock edge and the statistics need.
 struct PlannedExec {
+  std::array<Operand, 3> operand{};
+  DnodeOp op = DnodeOp::kNop;
+  DnodeDst dst = DnodeDst::kNone;
+  bool out_en = false;
+  bool bus_en = false;
+  bool host_en = false;
+  bool is_mac = false;
   std::uint16_t dnode = 0;
-  const PlannedSlot* slot = nullptr;  ///< into the owning plan's dnodes
+};
+
+/// One feedback read of a phase, as the two statistics it bumps.
+struct PlannedFbRead {
+  std::uint16_t pipe = 0;  ///< fb_reads_per_pipe index
+  std::uint16_t cell = 0;  ///< fb_read_depth_counts index
 };
 
 /// A plan's schedule repeats with the LCM of its local program lengths.
@@ -105,11 +130,11 @@ struct CyclePlan {
   std::uint64_t cfg_generation = 0;
   std::uint64_t local_generation = 0;
 
-  std::size_t static_pops = 0;  ///< host pops from global-mode Dnodes
   /// LCM of local program lengths (the schedule repeat period); 0 when
   /// it would exceed kMaxSuperstepPeriod.
   std::size_t period = 1;
   std::vector<PlannedDnode> dnodes;          ///< [layer * lanes + lane]
+  std::vector<Word> consts;                  ///< kConst pool (see above)
   std::vector<std::uint16_t> local_dnodes;   ///< flat indices, ascending
   std::vector<std::uint16_t> global_dnodes;  ///< flat indices, ascending
   std::vector<HostTapPlan> host_taps;        ///< switch-asc, lane-asc
@@ -119,14 +144,19 @@ struct CyclePlan {
   // p cycles after its counter stood at `sched_origin`, so it stays
   // current while the counters advance in lockstep with a phase cursor.
   // A global-only plan's schedule never depends on a counter and is
-  // built once per compile.
+  // built once per compile.  The per-phase statistics (exec count,
+  // arith ops, feedback reads) are the same for every cycle of a phase,
+  // so the engine settles them once per dispatch.
   bool sched_valid = false;
   std::vector<std::uint8_t> sched_origin;  ///< per local_dnodes entry
   std::vector<PlannedExec> sched_exec;     ///< non-NOP slots, phase-major
   std::vector<std::uint32_t> sched_begin;  ///< [phases + 1] into sched_exec
   std::vector<std::uint32_t> sched_pops;   ///< [phases] host pops per phase
+  std::vector<std::uint32_t> sched_arith;  ///< [phases] arith ops per phase
   std::vector<std::uint32_t> sched_out;    ///< sched_exec idx w/ host/bus en
   std::vector<std::uint32_t> sched_out_begin;  ///< [phases + 1]
+  std::vector<PlannedFbRead> sched_fb;     ///< feedback reads, phase-major
+  std::vector<std::uint32_t> sched_fb_begin;   ///< [phases + 1]
 };
 
 /// Compile the live configuration + local-control programs into `plan`

@@ -86,13 +86,13 @@ class Dnode {
   /// Clock edge of the planned engine: write an executed instruction's
   /// result straight to its destination register and, with outEn, the
   /// output register.  The engine keeps results in its own scratch until
-  /// the edge, so nothing is staged here; `instr` came through
-  /// DnodeInstr::decode, which range-checked `dst`.
-  void latch(const DnodeInstr& instr, Word result) noexcept {
-    if (instr.dst != DnodeDst::kNone) {
-      regs_.latch(static_cast<std::size_t>(instr.dst) - 1, result);
+  /// the edge, so nothing is staged here; `dst` came through
+  /// DnodeInstr::decode, which range-checked it.
+  void latch(DnodeDst dst, bool out_en, Word result) noexcept {
+    if (dst != DnodeDst::kNone) {
+      regs_.latch(static_cast<std::size_t>(dst) - 1, result);
     }
-    if (instr.out_en) out_ = result;
+    if (out_en) out_ = result;
   }
 
   /// Registered systolic output as visible during the current cycle.

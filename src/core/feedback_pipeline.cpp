@@ -6,20 +6,20 @@
 
 namespace sring {
 
-FeedbackPipeline::FeedbackPipeline(std::size_t lanes, std::size_t depth)
-    : lanes_(lanes), depth_(depth), stages_(lanes * depth, 0) {
-  check(lanes > 0, "FeedbackPipeline: lanes must be positive");
+FeedbackPipeline::FeedbackPipeline(std::size_t width, std::size_t depth)
+    : width_(width), depth_(depth), stages_(2 * width * depth, 0) {
+  check(width > 0, "FeedbackPipeline: width must be positive");
   check(depth > 0, "FeedbackPipeline: depth must be positive");
 }
 
 Word FeedbackPipeline::read(std::size_t lane, std::size_t depth) const {
-  check(lane < lanes_, "FeedbackPipeline::read: lane out of range");
+  check(lane < width_, "FeedbackPipeline::read: lane out of range");
   check(depth < depth_, "FeedbackPipeline::read: depth out of range");
-  return read_fast(lane, depth);
+  return window()[depth * width_ + lane];
 }
 
 void FeedbackPipeline::push(const std::vector<Word>& upstream_outputs) {
-  check(upstream_outputs.size() == lanes_,
+  check(upstream_outputs.size() == width_,
         "FeedbackPipeline::push: wrong vector width");
   push_from(upstream_outputs.data());
 }

@@ -21,15 +21,20 @@ inline void fnv_mix(std::uint64_t& h, std::uint64_t v) noexcept {
   }
 }
 
+constexpr std::size_t index(OperandBase b) noexcept {
+  return static_cast<std::size_t>(b);
+}
+
+const RingGeometry& validated(const RingGeometry& g) {
+  g.validate();
+  return g;
+}
+
 }  // namespace
 
-Ring::Ring(const RingGeometry& g) : geom_(g) {
-  geom_.validate();
+Ring::Ring(const RingGeometry& g)
+    : geom_(validated(g)), bank_(geom_.dnode_count(), geom_.fb_depth) {
   dnodes_.resize(geom_.dnode_count());
-  pipes_.reserve(geom_.switch_count());
-  for (std::size_t s = 0; s < geom_.switch_count(); ++s) {
-    pipes_.emplace_back(geom_.lanes, geom_.fb_depth);
-  }
   last_mode_.assign(geom_.dnode_count(), DnodeMode::kGlobal);
   ops_per_dnode_.assign(geom_.dnode_count(), 0);
   mac_ops_per_dnode_.assign(geom_.dnode_count(), 0);
@@ -55,7 +60,7 @@ std::size_t Ring::flat_index(std::size_t layer, std::size_t lane) const {
 }
 
 std::size_t Ring::upstream_layer(std::size_t layer) const noexcept {
-  // No modulo: this runs once per switch per planned cycle.
+  // No modulo: the interpreter calls this per routed Dnode per cycle.
   return (layer == 0 ? geom_.layers : layer) - 1;
 }
 
@@ -83,11 +88,6 @@ const Dnode& Ring::dnode_flat(std::size_t index) const {
   return dnodes_[index];
 }
 
-const FeedbackPipeline& Ring::pipeline(std::size_t sw) const {
-  check(sw < pipes_.size(), "Ring: switch index out of range");
-  return pipes_[sw];
-}
-
 void Ring::write_local(std::size_t dnode_index, std::size_t slot,
                        std::uint64_t value) {
   check(dnode_index < dnodes_.size(), "Ring: dnode index out of range");
@@ -96,13 +96,25 @@ void Ring::write_local(std::size_t dnode_index, std::size_t slot,
 }
 
 Word Ring::read_feedback(const FeedbackAddr& addr) const {
-  check(addr.pipe < pipes_.size(), "Ring: feedback pipe out of range");
-  return pipes_[addr.pipe].read(addr.lane, addr.depth);
+  addr.check_in_range(geom_.switch_count(), geom_.lanes, geom_.fb_depth);
+  return bank_.read(upstream_layer(addr.pipe) * geom_.lanes + addr.lane,
+                    addr.depth);
 }
 
 void Ring::note_fb_read(const FeedbackAddr& addr) {
   ++fb_reads_per_pipe_[addr.pipe];
   ++fb_read_depth_counts_[addr.pipe * geom_.fb_depth + addr.depth];
+}
+
+void Ring::settle_mode_cycles() const noexcept {
+  if (pending_mode_cycles_ == 0) return;
+  for (std::size_t i = 0; i < last_mode_.size(); ++i) {
+    auto& counts = last_mode_[i] == DnodeMode::kLocal
+                       ? local_cycles_per_dnode_
+                       : global_cycles_per_dnode_;
+    counts[i] += pending_mode_cycles_;
+  }
+  pending_mode_cycles_ = 0;
 }
 
 void Ring::set_plan_cache_enabled(bool enabled) noexcept {
@@ -112,12 +124,13 @@ void Ring::set_plan_cache_enabled(bool enabled) noexcept {
 
 void Ring::reset_arch_state() {
   for (auto& d : dnodes_) d.reset();
-  for (auto& p : pipes_) p.reset();
+  bank_.reset();
   last_mode_.assign(geom_.dnode_count(), DnodeMode::kGlobal);
   ops_per_dnode_.assign(geom_.dnode_count(), 0);
   mac_ops_per_dnode_.assign(geom_.dnode_count(), 0);
   local_cycles_per_dnode_.assign(geom_.dnode_count(), 0);
   global_cycles_per_dnode_.assign(geom_.dnode_count(), 0);
+  pending_mode_cycles_ = 0;
   host_out_words_per_switch_.assign(geom_.switch_count(), 0);
   fb_reads_per_pipe_.assign(geom_.switch_count(), 0);
   fb_read_depth_counts_.assign(geom_.switch_count() * geom_.fb_depth, 0);
@@ -171,8 +184,10 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
         "Ring::step: configuration memory geometry mismatch");
 
   // An interpreted cycle commits modes itself: the planned engine must
-  // re-sync them at its next advancing cycle.
+  // re-sync them at its next advancing cycle, and the planned cycles
+  // pending under the old modes are settled first.
   const auto interpret = [&] {
+    settle_mode_cycles();
     mode_synced_ = false;
     return step_interpreted(cfg, bus, host_in, host_out);
   };
@@ -433,10 +448,7 @@ void Ring::commit_edge() {
   for (std::size_t i = 0; i < n; ++i) {
     dnodes_[i].commit(is_local_[i]);
   }
-  for (std::size_t s = 0; s < geom_.switch_count(); ++s) {
-    const std::size_t up = upstream_layer(s);
-    pipes_[s].push_from(pre_outs_.data() + up * geom_.lanes);
-  }
+  bank_.push_from(pre_outs_.data());
   pre_outs_valid_ = false;  // pre_outs_ now holds pre-edge values
 }
 
@@ -677,42 +689,103 @@ void Ring::sync_schedule(CyclePlan& plan) {
     plan.sched_origin.push_back(next_slot(i));
   }
 
-  // Unroll the schedule over the local-program period: per phase, the
-  // non-NOP slots in flat Dnode order (preserving the documented host
-  // pop order) and the cycle's total host-pop count.  Phase p serves
-  // the cycle p cycles after the origin, so local-slot bookkeeping
-  // vanishes from the engine loop.
+  // Unroll the schedule over the local-program period and lower every
+  // executing slot into an operand record.  Per phase: the non-NOP
+  // slots in flat Dnode order, their host operands addressed by pop
+  // ordinal within the cycle (Dnode ascending, then in1, in2, direct —
+  // the documented pop order), the cycle's host-pop count, and the
+  // phase's statistics.  Phase p serves the cycle p cycles after the
+  // origin, so local-slot bookkeeping vanishes from the engine loop.
   const std::size_t phases = plan.period == 0 ? 1 : plan.period;
   const std::size_t n = dnodes_.size();
+  const auto size32 = [](const auto& v) {
+    return static_cast<std::uint32_t>(v.size());
+  };
   plan.sched_exec.clear();
   plan.sched_begin.assign(phases + 1, 0);
   plan.sched_pops.assign(phases, 0);
+  plan.sched_arith.assign(phases, 0);
   plan.sched_out.clear();
   plan.sched_out_begin.assign(phases + 1, 0);
+  plan.sched_fb.clear();
+  plan.sched_fb_begin.assign(phases + 1, 0);
   for (std::size_t p = 0; p < phases; ++p) {
-    plan.sched_begin[p] = static_cast<std::uint32_t>(plan.sched_exec.size());
-    plan.sched_out_begin[p] = static_cast<std::uint32_t>(plan.sched_out.size());
-    std::uint32_t pops = static_cast<std::uint32_t>(plan.static_pops);
+    plan.sched_begin[p] = size32(plan.sched_exec);
+    plan.sched_out_begin[p] = size32(plan.sched_out);
+    plan.sched_fb_begin[p] = size32(plan.sched_fb);
+    std::uint32_t pops = 0;
+    std::uint32_t arith = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const PlannedDnode& pd = plan.dnodes[i];
-      const PlannedSlot* slot = &pd.global;
-      if (pd.is_local) {
-        slot = &pd.local[(next_slot(i) + p) % pd.local_len];
-        pops += slot->pops;
+      const PlannedSlot& slot =
+          pd.is_local ? pd.local[(next_slot(i) + p) % pd.local_len]
+                      : pd.global;
+      if (slot.nop) continue;
+      PlannedExec x;
+      x.operand = slot.operand;
+      for (Operand& o : x.operand) {
+        if (o.base == OperandBase::kHost) {
+          o.off = static_cast<std::uint16_t>(o.off + pops);
+        }
       }
-      if (slot->nop) continue;
-      if (slot->instr.host_en || slot->instr.bus_en) {
-        plan.sched_out.push_back(
-            static_cast<std::uint32_t>(plan.sched_exec.size()));
+      x.op = slot.instr.op;
+      x.dst = slot.instr.dst;
+      x.out_en = slot.instr.out_en;
+      x.bus_en = slot.instr.bus_en;
+      x.host_en = slot.instr.host_en;
+      x.is_mac = slot.is_mac;
+      x.dnode = static_cast<std::uint16_t>(i);
+      if (x.host_en || x.bus_en) {
+        plan.sched_out.push_back(size32(plan.sched_exec));
       }
-      plan.sched_exec.push_back({static_cast<std::uint16_t>(i), slot});
+      plan.sched_exec.push_back(x);
+      pops += slot.pops;
+      arith += slot.is_mac ? 2u : 1u;
+      for (std::size_t k = 0; k < slot.fb_reads; ++k) {
+        const FeedbackAddr& a = slot.fb_read[k];
+        plan.sched_fb.push_back(
+            {a.pipe, static_cast<std::uint16_t>(a.pipe * geom_.fb_depth +
+                                                a.depth)});
+      }
     }
     plan.sched_pops[p] = pops;
+    plan.sched_arith[p] = arith;
   }
-  plan.sched_begin[phases] = static_cast<std::uint32_t>(plan.sched_exec.size());
-  plan.sched_out_begin[phases] =
-      static_cast<std::uint32_t>(plan.sched_out.size());
+  plan.sched_begin[phases] = size32(plan.sched_exec);
+  plan.sched_out_begin[phases] = size32(plan.sched_out);
+  plan.sched_fb_begin[phases] = size32(plan.sched_fb);
   plan.sched_valid = true;
+}
+
+void Ring::settle_phase_stats(const CyclePlan& plan, std::size_t first,
+                              std::uint64_t cycles, std::uint64_t& ops,
+                              std::uint64_t& arith) {
+  // Phase first+k ran `full` times, plus once more if k < rem.  A
+  // dispatch shorter than a period divides nothing and touches only the
+  // phases it ran.
+  const std::size_t phases = plan.sched_pops.size();
+  const std::uint64_t full = cycles < phases ? 0 : cycles / phases;
+  const std::uint64_t rem = cycles < phases ? cycles : cycles % phases;
+  const std::size_t touched = full > 0 ? phases : static_cast<std::size_t>(rem);
+  std::size_t p = first;
+  for (std::size_t k = 0; k < touched; ++k) {
+    const std::uint64_t m = full + (k < rem ? 1u : 0u);
+    const PlannedExec* it = plan.sched_exec.data() + plan.sched_begin[p];
+    const PlannedExec* const end =
+        plan.sched_exec.data() + plan.sched_begin[p + 1];
+    ops += m * static_cast<std::uint64_t>(end - it);
+    arith += m * plan.sched_arith[p];
+    for (; it != end; ++it) {
+      ops_per_dnode_[it->dnode] += m;
+      if (it->is_mac) mac_ops_per_dnode_[it->dnode] += m;
+    }
+    for (std::uint32_t f = plan.sched_fb_begin[p];
+         f != plan.sched_fb_begin[p + 1]; ++f) {
+      fb_reads_per_pipe_[plan.sched_fb[f].pipe] += m;
+      fb_read_depth_counts_[plan.sched_fb[f].cell] += m;
+    }
+    if (++p == phases) p = 0;
+  }
 }
 
 Ring::CycleResult Ring::exec_plan(CyclePlan& plan, Word bus, HostFifo& host_in,
@@ -727,18 +800,21 @@ Ring::CycleResult Ring::exec_plan(CyclePlan& plan, Word bus, HostFifo& host_in,
     sync_schedule(plan);
     sched_synced_ = true;
   }
-  std::size_t phase = phase_;
+  const std::size_t first = phase_;
+  std::size_t phase = first;
 
   // First-cycle stall check before any state is touched: a stalled
   // cycle advances nothing (step() reports it, a superstep hands back).
   if (host_in.size() < plan.sched_pops[phase]) return {};
 
   if (!mode_synced_) {
-    // First advancing cycle under a new mode vector: commit mode
-    // transitions exactly as the interpreter would.  Modes cannot
-    // change while the plan stays attached, and a re-attachment with
-    // the same local-Dnode set keeps them (see attach_plan), so this
-    // runs once per change of mode vector.
+    // First advancing cycle under a new mode vector: settle the cycles
+    // pending under the old one, then commit mode transitions exactly
+    // as the interpreter would.  Modes cannot change while the plan
+    // stays attached, and a re-attachment with the same local-Dnode set
+    // keeps them (see attach_plan), so this runs once per change of
+    // mode vector.
+    settle_mode_cycles();
     for (const std::uint16_t i : plan.local_dnodes) {
       if (last_mode_[i] == DnodeMode::kGlobal) {
         dnodes_[i].local().reset_counter();
@@ -763,17 +839,23 @@ Ring::CycleResult Ring::exec_plan(CyclePlan& plan, Word bus, HostFifo& host_in,
   }
 
   const std::size_t phases = plan.sched_pops.size();
-  const std::size_t lanes = geom_.lanes;
-  const std::size_t switches = geom_.switch_count();
-  // Tallies live in locals, not in the returned result: the counter
-  // stores below could alias it and force a reload per store.
+  // Tallies live in locals, not in the returned result: the stores
+  // below could alias it and force a reload per store.
   std::uint64_t cycles = 0;
-  std::uint64_t ops = 0;
-  std::uint64_t arith = 0;
   std::uint64_t words_in = 0;
   std::uint64_t words_out = 0;
   std::size_t last_top = 0;
   std::optional<Word> drive;
+
+  // Operand bases (see OperandBase): the feedback window and the host
+  // window move every cycle, the register file with every slot.
+  plan.consts[kConstBus] = bus;
+  const Word* base[index(OperandBase::kCount)] = {};
+  base[index(OperandBase::kConst)] = plan.consts.data();
+  base[index(OperandBase::kPreOuts)] = pre_outs_.data();
+  const auto load = [&base](const Operand& o) -> Word {
+    return base[index(o.base)][o.off];
+  };
 
   // The first cycle is admitted: it cannot stall (checked above) and
   // the caller checked its own stop condition.  Later cycles are
@@ -805,85 +887,40 @@ Ring::CycleResult Ring::exec_plan(CyclePlan& plan, Word bus, HostFifo& host_in,
       }
     }
 
-    // Execute the phase, counting per-exec statistics as they happen:
-    // a second, closed-form pass after the loop would cost a one-cycle
-    // dispatch more than it saves a long one.
-    const std::uint32_t base = plan.sched_begin[phase];
-    const PlannedExec* const e = plan.sched_exec.data() + base;
+    // Execute the phase: per slot three indexed loads, the ALU and a
+    // store to the scratch.  Host operands read this cycle's pops in
+    // place; they are dropped in one skip after the phase.
+    base[index(OperandBase::kFeedback)] = bank_.window();
+    base[index(OperandBase::kHost)] = host_in.front_ptr();
+    const std::uint32_t begin = plan.sched_begin[phase];
+    const PlannedExec* const e = plan.sched_exec.data() + begin;
     const PlannedExec* const e_end =
         plan.sched_exec.data() + plan.sched_begin[phase + 1];
     Word* const res = results_.data();
     for (const PlannedExec* it = e; it != e_end; ++it) {
-      const PlannedSlot& ps = *it->slot;
-      const std::size_t d = it->dnode;
-      const auto port = [&](PlannedSlot::Port kind, std::uint16_t prev,
-                            const FeedbackAddr& fb) -> Word {
-        switch (kind) {
-          case PlannedSlot::Port::kZero:
-            return 0;
-          case PlannedSlot::Port::kPrev:
-            return pre_outs_[prev];
-          case PlannedSlot::Port::kHost:
-            return host_in.pop();
-          case PlannedSlot::Port::kFeedback:
-            note_fb_read(fb);
-            return pipes_[fb.pipe].read_fast(fb.lane, fb.depth);
-          case PlannedSlot::Port::kBus:
-            return bus;
-        }
-        return 0;
-      };
-      const auto fifo = [&](bool read, const FeedbackAddr& fb) -> Word {
-        if (!read) return 0;
-        note_fb_read(fb);
-        return pipes_[fb.pipe].read_fast(fb.lane, fb.depth);
-      };
-      // Operand select: every value the instruction can name, indexed by
-      // DnodeSrc.  The statement order is the host pop order: in1, in2,
-      // then the direct host operand.
-      const auto& regs = dnodes_[d].regs().values();
-      const Word v[static_cast<std::size_t>(DnodeSrc::kSrcCount)] = {
-          0,
-          port(ps.in1, ps.in1_prev, ps.in1_fb),
-          port(ps.in2, ps.in2_prev, ps.in2_fb),
-          fifo(ps.read_fifo1, ps.fifo1),
-          fifo(ps.read_fifo2, ps.fifo2),
-          bus,
-          ps.direct_pop ? host_in.pop() : Word{0},
-          ps.instr.imm,
-          regs[0],
-          regs[1],
-          regs[2],
-          regs[3],
-      };
-      const Word r =
-          alu_execute(ps.instr.op, v[static_cast<std::size_t>(ps.sel_a)],
-                      v[static_cast<std::size_t>(ps.sel_b)],
-                      v[static_cast<std::size_t>(ps.sel_c)]);
+      base[index(OperandBase::kRegs)] =
+          dnodes_[it->dnode].regs().values().data();
+      const Word r = alu_execute(it->op, load(it->operand[0]),
+                                 load(it->operand[1]), load(it->operand[2]));
       res[it - e] = r;
-      ++ops;
-      arith += ps.is_mac ? 2u : 1u;
-      ++ops_per_dnode_[d];
-      if (ps.is_mac) ++mac_ops_per_dnode_[d];
       if (trace_views_) {
-        effects_[d] = {.executed = true,
-                       .result = r,
-                       .out_en = ps.instr.out_en,
-                       .bus_en = ps.instr.bus_en,
-                       .host_en = ps.instr.host_en};
+        effects_[it->dnode] = {.executed = true,
+                               .result = r,
+                               .out_en = it->out_en,
+                               .bus_en = it->bus_en,
+                               .host_en = it->host_en};
       }
     }
+    host_in.skip(need);
     words_in += need;
 
     // Clock edge.  pre_outs_ holds the pre-edge output vector (the
-    // invariant), so pipelines and taps latch from it directly; then
-    // each executed Dnode latches its result straight from the scratch
-    // — equivalent to the interpreter's commit_edge(), since a Dnode
-    // that did not execute commits to its own current state.  Local
-    // counters are fixed up in one advance_by() below.
-    for (std::size_t s = 0; s < switches; ++s) {
-      pipes_[s].push_from(pre_outs_.data() + upstream_layer(s) * lanes);
-    }
+    // invariant), so the feedback bank and the taps latch from it
+    // directly; then each executed Dnode latches its result straight
+    // from the scratch — equivalent to the interpreter's commit_edge(),
+    // since a Dnode that did not execute commits to its own current
+    // state.  Local counters are fixed up in one advance_by() below.
+    bank_.push_from(pre_outs_.data());
     // Host output: switch taps first (switch order), then Dnode hostEn
     // results (Dnode order).  Bus drive: highest Dnode index wins.
     for (const HostTapPlan& tap : plan.host_taps) {
@@ -891,23 +928,22 @@ Ring::CycleResult Ring::exec_plan(CyclePlan& plan, Word bus, HostFifo& host_in,
     }
     words_out += plan.host_taps.size();
     for (const PlannedExec* it = e; it != e_end; ++it) {
-      const DnodeInstr& instr = it->slot->instr;
       const Word r = res[it - e];
-      dnodes_[it->dnode].latch(instr, r);
-      if (instr.out_en) pre_outs_[it->dnode] = r;  // the invariant
+      dnodes_[it->dnode].latch(it->dst, it->out_en, r);
+      if (it->out_en) pre_outs_[it->dnode] = r;  // the invariant
     }
     const std::uint32_t* o =
         plan.sched_out.data() + plan.sched_out_begin[phase];
     const std::uint32_t* const o_end =
         plan.sched_out.data() + plan.sched_out_begin[phase + 1];
     for (; o != o_end; ++o) {
-      const DnodeInstr& instr = plan.sched_exec[*o].slot->instr;
-      const Word r = res[*o - base];
-      if (instr.host_en) {
+      const PlannedExec& x = plan.sched_exec[*o];
+      const Word r = res[*o - begin];
+      if (x.host_en) {
         host_out.push_back(r);
         ++words_out;
       }
-      if (instr.bus_en) {
+      if (x.bus_en) {
         ++bus_drives_;
         if (drive.has_value()) ++bus_conflicts_;
         drive = r;
@@ -931,18 +967,19 @@ Ring::CycleResult Ring::exec_plan(CyclePlan& plan, Word bus, HostFifo& host_in,
   }
   phase_ = phase;
 
-  // Per-dispatch statistics: the same for every cycle, whatever its
-  // phase.
+  // Per-dispatch statistics: the phase totals of the cycles run, the
+  // tap counts and mode cycles (the same for every cycle), and the
+  // local counters.
+  std::uint64_t ops = 0;
+  std::uint64_t arith = 0;
+  settle_phase_stats(plan, first, cycles, ops, arith);
   for (const HostTapPlan& tap : plan.host_taps) {
     host_out_words_per_switch_[tap.sw] += cycles;
   }
   for (const std::uint16_t i : plan.local_dnodes) {
     dnodes_[i].local().advance_by(cycles);
-    local_cycles_per_dnode_[i] += cycles;
   }
-  for (const std::uint16_t i : plan.global_dnodes) {
-    global_cycles_per_dnode_[i] += cycles;
-  }
+  pending_mode_cycles_ += cycles;
   return {.cycles = cycles,
           .ops = ops,
           .arith_ops = arith,

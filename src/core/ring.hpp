@@ -1,9 +1,11 @@
 // The Ring operating layer (paper §4.2).
 //
 // `layers` Dnode layers of `lanes` Dnodes each, closed into a ring.
-// Switch s routes data from layer s-1 (mod layers) into layer s and
-// owns the feedback pipeline that latches layer s-1's outputs every
-// clock edge.
+// Switch s routes data from layer s-1 (mod layers) into layer s; its
+// feedback pipeline latches layer s-1's outputs every clock edge.  As
+// every switch latches at every edge, the Ring keeps the pipelines as
+// one feedback bank whose stage is the whole pre-edge output vector:
+// pipeline s is layer s-1's slice of it.
 //
 // Per-cycle evaluation order (one call to step()):
 //   1. every Dnode's microinstruction is fetched from the configuration
@@ -23,8 +25,9 @@
 //   4. all Dnodes execute combinationally and stage their writes;
 //   5. commit: mode transitions take architectural effect (a Dnode
 //      entering local mode resets its counter), register files and
-//      output registers latch, local counters advance, every feedback
-//      pipeline latches its upstream layer's pre-edge output vector,
+//      output registers latch, local counters advance, the feedback
+//      bank latches the pre-edge output vector (every pipeline its
+//      upstream layer's slice),
 //      switch host-out taps and Dnode hostEn results append to the
 //      host output stream.
 //
@@ -133,7 +136,10 @@ class Ring {
   Dnode& dnode_flat(std::size_t index);
   const Dnode& dnode_flat(std::size_t index) const;
 
-  const FeedbackPipeline& pipeline(std::size_t sw) const;
+  /// The feedback bank: one stage per depth, each the whole pre-edge
+  /// output vector; switch s's pipeline is layer s-1's slice of it, so
+  /// every pipeline has the bank's pushes() and occupancy().
+  const FeedbackPipeline& feedback_bank() const noexcept { return bank_; }
 
   /// Write a local-control register of a Dnode (controller WRLOC path).
   /// Invalidates the compiled cycle plan.
@@ -154,11 +160,13 @@ class Ring {
   /// Non-stalled cycles each Dnode spent in local (stand-alone) mode.
   const std::vector<std::uint64_t>& local_cycles_per_dnode()
       const noexcept {
+    settle_mode_cycles();
     return local_cycles_per_dnode_;
   }
   /// Non-stalled cycles each Dnode spent under global configuration.
   const std::vector<std::uint64_t>& global_cycles_per_dnode()
       const noexcept {
+    settle_mode_cycles();
     return global_cycles_per_dnode_;
   }
   /// Host-out words forwarded by each switch's tap.
@@ -312,6 +320,18 @@ class Ring {
   /// Record one feedback read actually consumed by an instruction.
   void note_fb_read(const FeedbackAddr& addr);
 
+  /// Add the planned cycles pending under last_mode_ to the per-Dnode
+  /// local/global cycle counts.  Runs before last_mode_ changes and on
+  /// read, so the engine's dispatches only bump one count.
+  void settle_mode_cycles() const noexcept;
+  /// Settle the per-phase statistics of `cycles` planned cycles that
+  /// started at schedule phase `first`: whole periods times the phase
+  /// totals plus the partial run, touching min(cycles, phases) phases.
+  /// Adds the executed ops and arith ops to `ops` and `arith`.
+  void settle_phase_stats(const CyclePlan& plan, std::size_t first,
+                          std::uint64_t cycles, std::uint64_t& ops,
+                          std::uint64_t& arith);
+
   /// Reference path: re-interpret ConfigMemory + local programs.
   CycleResult step_interpreted(const ConfigMemory& cfg, Word bus,
                                HostFifo& host_in,
@@ -328,7 +348,7 @@ class Ring {
   /// phase cursor.
   void sync_schedule(CyclePlan& plan);
   /// Clock-edge tail of the interpreter: capture pre-edge outputs,
-  /// commit every Dnode, latch the feedback pipelines.
+  /// commit every Dnode, latch the feedback bank.
   void commit_edge();
   /// Dnode hostEn pushes and bus drives (after commit_edge()).
   void drain_effects(CycleResult& result, std::vector<Word>& host_out);
@@ -369,12 +389,16 @@ class Ring {
 
   RingGeometry geom_;
   std::vector<Dnode> dnodes_;              // [layer * lanes + lane]
-  std::vector<FeedbackPipeline> pipes_;    // one per switch / layer
+  FeedbackPipeline bank_;                  // dnode_count() words wide
   std::vector<DnodeMode> last_mode_;       // mode at last NON-stalled cycle
   std::vector<std::uint64_t> ops_per_dnode_;
   std::vector<std::uint64_t> mac_ops_per_dnode_;
-  std::vector<std::uint64_t> local_cycles_per_dnode_;
-  std::vector<std::uint64_t> global_cycles_per_dnode_;
+  // Settled lazily, also by the const accessors (see
+  // settle_mode_cycles): planned cycles since the last settle all ran
+  // under last_mode_.  Like the rest of the Ring, one thread at a time.
+  mutable std::vector<std::uint64_t> local_cycles_per_dnode_;
+  mutable std::vector<std::uint64_t> global_cycles_per_dnode_;
+  mutable std::uint64_t pending_mode_cycles_ = 0;
   std::vector<std::uint64_t> host_out_words_per_switch_;
   std::vector<std::uint64_t> fb_reads_per_pipe_;
   std::vector<std::uint64_t> fb_read_depth_counts_;  // [pipe*fb_depth+depth]

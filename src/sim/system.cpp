@@ -285,7 +285,7 @@ obs::Registry System::metrics() const {
     set("route_changes", route_changes[sw]);
     set("host_out_words", host_out[sw]);
     set("fb_reads", fb_reads[sw]);
-    set("fb_occupancy", ring_.pipeline(sw).occupancy());
+    set("fb_occupancy", ring_.feedback_bank().occupancy());
     std::snprintf(name, sizeof(name), "switch.%zu.fb_read_depth", sw);
     reg.put_histogram(
         name,

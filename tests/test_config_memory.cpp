@@ -1,7 +1,10 @@
 // Unit tests for the configuration layer (live words + pages).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/config_memory.hpp"
 
 namespace sring {
@@ -94,6 +97,73 @@ TEST(ConfigMemory, CountsWrites) {
   cfg.apply_page(0);
   // A page swap rewrites every configuration word.
   EXPECT_EQ(cfg.words_written(), 1u + 8 + 8 + 8);
+}
+
+TEST(ConfigMemory, RouteChangesMatchBruteForceDiffAcrossPageRotation) {
+  // Three pages with random routes, rotated (with an off-rotation swap
+  // and a word write between swaps): the memoized per-swap diffs must
+  // count exactly the lanes whose decoded route differs from the live
+  // route before the swap.
+  const RingGeometry g = small();
+  ConfigMemory cfg(g);
+  Rng rng(7);
+  const auto random_port = [&]() {
+    switch (rng.next_word_in(0, 3)) {
+      case 0:
+        return PortRoute{};
+      case 1:
+        return PortRoute::prev(
+            static_cast<std::uint8_t>(rng.next_word_in(0, 1)));
+      case 2:
+        return PortRoute::host();
+      default:
+        return PortRoute::bus();
+    }
+  };
+  for (int p = 0; p < 3; ++p) {
+    ConfigPage page = ConfigPage::zeroed(g);
+    for (auto& w : page.switch_route) {
+      SwitchRoute r;
+      r.in1 = random_port();
+      r.in2 = random_port();
+      w = r.encode();
+    }
+    cfg.add_page(page);
+  }
+
+  std::vector<std::uint64_t> expected(g.switch_count(), 0);
+  const auto apply = [&](std::size_t page) {
+    std::vector<SwitchRoute> before;
+    for (std::size_t sw = 0; sw < g.switch_count(); ++sw) {
+      for (std::size_t lane = 0; lane < g.lanes; ++lane) {
+        before.push_back(cfg.switch_route(sw, lane));
+      }
+    }
+    cfg.apply_page(page);
+    for (std::size_t sw = 0; sw < g.switch_count(); ++sw) {
+      for (std::size_t lane = 0; lane < g.lanes; ++lane) {
+        if (!(before[sw * g.lanes + lane] == cfg.switch_route(sw, lane))) {
+          ++expected[sw];
+        }
+      }
+    }
+    ASSERT_EQ(cfg.route_changes_per_switch(), expected);
+  };
+  for (int round = 0; round < 4; ++round) {
+    for (std::size_t p = 0; p < 3; ++p) apply(p);
+  }
+  apply(2);  // 2 -> 2: nothing changes
+  apply(0);
+  apply(2);  // off-rotation successor of page 0
+  SwitchRoute host_in1;
+  host_in1.in1 = PortRoute::host();
+  host_in1.in2 = PortRoute::host();
+  if (!(cfg.switch_route(1, 0) == host_in1)) ++expected[1];
+  cfg.write_switch_route(1, 0, host_in1.encode());
+  ASSERT_EQ(cfg.route_changes_per_switch(), expected);
+  apply(1);  // from a word-written image
+  apply(2);
+  EXPECT_GT(cfg.route_changes_total(), 0u);
 }
 
 }  // namespace

@@ -129,6 +129,41 @@ TEST(FeedbackPipeline, BoundsAndReset) {
   EXPECT_EQ(fp.read(0, 0), 0u);
 }
 
+TEST(FeedbackPipeline, MirroredWindowMatchesRead) {
+  // The window is contiguous from the depth-0 stage on:
+  // window()[d * width + i] == read(i, d) at every head position, across
+  // more than two wraps of the ring, and after a reset.
+  constexpr std::size_t kWidth = 3;
+  constexpr std::size_t kDepth = 4;
+  FeedbackPipeline fp(kWidth, kDepth);
+  const auto expect_window_is_read = [&] {
+    for (std::size_t d = 0; d < kDepth; ++d) {
+      for (std::size_t i = 0; i < kWidth; ++i) {
+        ASSERT_EQ(fp.window()[d * kWidth + i], fp.read(i, d));
+      }
+    }
+  };
+  expect_window_is_read();
+  for (Word v = 1; v <= 3 * kDepth + 1; ++v) {
+    fp.push({v, static_cast<Word>(v + 100), static_cast<Word>(v + 200)});
+    expect_window_is_read();
+    for (std::size_t d = 0; d < kDepth && d < v; ++d) {
+      EXPECT_EQ(fp.window()[d * kWidth + 2], static_cast<Word>(v - d + 200));
+    }
+  }
+  EXPECT_EQ(fp.pushes(), 3 * kDepth + 1);
+  EXPECT_EQ(fp.occupancy(), kDepth);
+  fp.reset();
+  expect_window_is_read();
+  for (std::size_t k = 0; k < kDepth * kWidth; ++k) {
+    EXPECT_EQ(fp.window()[k], 0u);
+  }
+  fp.push({7, 8, 9});
+  expect_window_is_read();
+  EXPECT_EQ(fp.window()[1], 8u);
+  EXPECT_EQ(fp.window()[kWidth + 1], 0u);
+}
+
 TEST(Dnode, ExecutesAndCommitsLikeHardware) {
   Dnode d;
   DnodeInstr instr;

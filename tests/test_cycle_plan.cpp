@@ -651,6 +651,184 @@ TEST(Superstep, ExitReasons) {
             ring.superstep_dispatches());
 }
 
+TEST(Superstep, StatsSettleAcrossPartialPeriods) {
+  // The planned engine settles its per-Dnode and per-switch statistics
+  // once per dispatch (whole schedule periods times the phase totals,
+  // plus the partial run) and its local/global mode cycles lazily.
+  // Local programs of length 3 and 5 give a 15-phase schedule; global
+  // Dnodes read feedback at several depths, run MAC/MSU, and pop on
+  // in1, in2 and the direct host operand.  Every budget 1..31 from
+  // every starting phase must leave each counter equal to the
+  // interpreter's, read mid-run, across a mode-vector change between
+  // cached plans, and after an interpreted cycle.
+  const RingGeometry g{2, 3, 4};
+  constexpr std::size_t kNoStop = std::numeric_limits<std::size_t>::max();
+  const auto instr = [](DnodeOp op, DnodeSrc a, DnodeSrc b, DnodeSrc c,
+                        DnodeDst dst, Word imm = 0) {
+    DnodeInstr i;
+    i.op = op;
+    i.src_a = a;
+    i.src_b = b;
+    i.src_c = c;
+    i.dst = dst;
+    i.imm = imm;
+    i.out_en = true;
+    return i;
+  };
+  using Op = DnodeOp;
+  using Src = DnodeSrc;
+  using Dst = DnodeDst;
+  const auto fb = [](std::uint8_t pipe, std::uint8_t lane,
+                     std::uint8_t depth) {
+    return FeedbackAddr{pipe, lane, depth};
+  };
+
+  ConfigMemory cfg(g);
+  const auto route = [&](std::size_t sw, std::size_t lane, PortRoute in1,
+                         PortRoute in2, FeedbackAddr f1, FeedbackAddr f2,
+                         bool tap = false) {
+    SwitchRoute r;
+    r.in1 = in1;
+    r.in2 = in2;
+    r.fifo1 = f1;
+    r.fifo2 = f2;
+    r.host_out_en = tap;
+    r.host_out_lane = 2;
+    cfg.write_switch_route(sw, lane, r.encode());
+  };
+  const PortRoute host = PortRoute::host();
+  route(0, 0, host, PortRoute::feedback(fb(1, 0, 1)), fb(0, 1, 2),
+        fb(1, 2, 3));
+  route(0, 1, PortRoute::prev(0), host, fb(1, 1, 0), fb(0, 0, 3));
+  route(0, 2, host, PortRoute::feedback(fb(1, 0, 2)), fb(0, 2, 0),
+        fb(1, 1, 1));
+  route(1, 0, PortRoute::prev(1), PortRoute::bus(), fb(0, 0, 1),
+        fb(1, 2, 3));
+  route(1, 1, host, host, fb(0, 1, 3), fb(1, 0, 0), /*tap=*/true);
+  cfg.write_dnode_instr(
+      2, instr(Op::kMac, Src::kIn1, Src::kIn2, Src::kFifo1, Dst::kR0).encode());
+  cfg.write_dnode_instr(
+      3, instr(Op::kMsu, Src::kIn1, Src::kFifo2, Src::kHost, Dst::kR0)
+             .encode());
+  DnodeInstr add_host = instr(Op::kAdd, Src::kIn1, Src::kIn2, Src::kZero,
+                              Dst::kR1);
+  add_host.host_en = true;
+  cfg.write_dnode_instr(4, add_host.encode());
+  // Dnode 1's global instruction, live while it is switched to global.
+  cfg.write_dnode_instr(
+      1, instr(Op::kAdd, Src::kIn1, Src::kImm, Src::kZero, Dst::kR2, 5)
+             .encode());
+
+  DnodeInstr emit = instr(Op::kPass, Src::kHost, Src::kZero, Src::kZero,
+                          Dst::kNone);
+  emit.host_en = true;
+  const std::vector<std::vector<DnodeInstr>> programs = {
+      {instr(Op::kMac, Src::kIn1, Src::kImm, Src::kR0, Dst::kR0, 3),
+       instr(Op::kAdd, Src::kFifo1, Src::kIn2, Src::kZero, Dst::kR1), emit},
+      {instr(Op::kMsu, Src::kIn1, Src::kFifo2, Src::kR0, Dst::kR0),
+       DnodeInstr{},
+       instr(Op::kSub, Src::kIn2, Src::kHost, Src::kZero, Dst::kR1),
+       instr(Op::kMac, Src::kFifo1, Src::kFifo2, Src::kR2, Dst::kR2),
+       instr(Op::kAdd, Src::kR3, Src::kImm, Src::kZero, Dst::kR3, 1)}};
+  const auto set_modes = [&](bool dnode1_local) {
+    cfg.write_dnode_mode(0, DnodeMode::kLocal);
+    cfg.write_dnode_mode(1,
+                         dnode1_local ? DnodeMode::kLocal : DnodeMode::kGlobal);
+  };
+
+  struct Side {
+    explicit Side(const RingGeometry& g) : ring(g) {}
+    Ring ring;
+    HostFifo in;
+    std::vector<Word> out;
+    std::uint64_t ops = 0, arith = 0, words_in = 0, words_out = 0;
+    void add(const Ring::CycleResult& r) {
+      ops += r.ops;
+      arith += r.arith_ops;
+      words_in += r.host_words_in;
+      words_out += r.host_words_out;
+    }
+  };
+  const auto snapshot = [](const Side& s) {
+    const Ring& r = s.ring;
+    return std::vector<std::vector<std::uint64_t>>{
+        r.ops_per_dnode(),
+        r.mac_ops_per_dnode(),
+        r.fb_reads_per_pipe(),
+        r.fb_read_depth_counts(),
+        r.local_cycles_per_dnode(),
+        r.global_cycles_per_dnode(),
+        r.host_out_words_per_switch(),
+        {s.ops, s.arith, s.words_in, s.words_out, s.in.size()},
+        {s.out.begin(), s.out.end()}};
+  };
+
+  const std::vector<Word> input = signal(57, 2048);
+  for (std::size_t start = 0; start < 15; ++start) {
+    for (std::uint64_t budget = 1; budget <= 31; ++budget) {
+      SCOPED_TRACE("start phase " + std::to_string(start) + ", budget " +
+                   std::to_string(budget));
+      Side planned(g);
+      Side interp(g);
+      interp.ring.set_plan_cache_enabled(false);
+      set_modes(true);
+      for (Side* s : {&planned, &interp}) {
+        for (std::size_t d = 0; d < programs.size(); ++d) {
+          for (std::size_t k = 0; k < programs[d].size(); ++k) {
+            s->ring.write_local(d, k, programs[d][k].encode());
+          }
+          s->ring.write_local(d, LocalControl::kLimitSlot,
+                              programs[d].size() - 1);
+        }
+        s->in.append(input);
+      }
+      const auto step_both = [&](std::size_t cycles) {
+        for (std::size_t c = 0; c < cycles; ++c) {
+          for (Side* s : {&planned, &interp}) {
+            s->add(s->ring.step(cfg, 0, s->in, s->out));
+          }
+        }
+      };
+      const auto superstep = [&](std::uint64_t cycles) {
+        const Ring::CycleResult r = planned.ring.run_planned(
+            cfg, 0, planned.in, planned.out, cycles, kNoStop, {});
+        ASSERT_EQ(r.cycles, cycles);
+        planned.add(r);
+        for (std::uint64_t c = 0; c < cycles; ++c) {
+          interp.add(interp.ring.step(cfg, 0, interp.in, interp.out));
+        }
+      };
+
+      // Two cycles compile and attach the plan; `start` more move the
+      // schedule cursor to phase `start`.
+      step_both(2 + start);
+      superstep(budget);
+      ASSERT_EQ(snapshot(planned), snapshot(interp)) << "read mid-run";
+
+      // Switch Dnode 1 to global (new content: interpreted, then
+      // compiled), run, and switch back: the cached plan re-attaches
+      // with cycles still pending under the other mode vector.
+      set_modes(false);
+      step_both(2);
+      superstep(budget);
+      set_modes(true);
+      step_both(1);
+      superstep(budget);
+      ASSERT_EQ(snapshot(planned), snapshot(interp))
+          << "across a mode-vector change";
+
+      // One interpreted cycle on the planned side settles first.
+      superstep(budget);
+      planned.ring.set_plan_cache_enabled(false);
+      step_both(1);
+      planned.ring.set_plan_cache_enabled(true);
+      ASSERT_EQ(snapshot(planned), snapshot(interp))
+          << "after an interpreted cycle";
+      EXPECT_EQ(planned.ring.superstep_dispatches(), 4u);
+    }
+  }
+}
+
 TEST(CyclePlan, FbReadDepthCountsSizedByGeometry) {
   // The per-depth feedback histogram is sized by fb_depth, not a
   // hard-coded 16-deep stride.

@@ -2,6 +2,7 @@
 // HostFifo beneath it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <vector>
@@ -48,7 +49,9 @@ TEST(HostFifo, AssignReplacesAndAppendExtends) {
 
 TEST(HostFifo, MatchesDequeAcrossReclaimChurn) {
   // Interleaved pushes and pops well past the lazy-reclaim threshold:
-  // the flat fifo must stay word-for-word a std::deque.
+  // the flat fifo must stay word-for-word a std::deque.  Odd rounds pop
+  // the planned engine's way: read the words in place through
+  // front_ptr(), then drop them with one skip().
   HostFifo f;
   std::deque<Word> ref;
   Rng rng(99);
@@ -60,13 +63,27 @@ TEST(HostFifo, MatchesDequeAcrossReclaimChurn) {
       ref.push_back(w);
     }
     const int pops = static_cast<int>(rng.next_word_in(0, 6));
-    for (int i = 0; i < pops && !ref.empty(); ++i) {
-      ASSERT_FALSE(f.empty());
-      ASSERT_EQ(f.pop(), ref.front());
-      ref.pop_front();
+    if (round % 2 == 1) {
+      const std::size_t n =
+          std::min(static_cast<std::size_t>(pops), ref.size());
+      const Word* const window = f.front_ptr();
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(window[i], ref[i]);
+        ASSERT_EQ(f.at(i), ref[i]);
+      }
+      f.skip(n);
+      ref.erase(ref.begin(), ref.begin() + static_cast<std::ptrdiff_t>(n));
+    } else {
+      for (int i = 0; i < pops && !ref.empty(); ++i) {
+        ASSERT_FALSE(f.empty());
+        ASSERT_EQ(f.pop(), ref.front());
+        ref.pop_front();
+      }
     }
     ASSERT_EQ(f.size(), ref.size());
-    if (!ref.empty()) ASSERT_EQ(f.front(), ref.front());
+    if (!ref.empty()) {
+      ASSERT_EQ(f.front(), ref.front());
+    }
   }
   while (!ref.empty()) {
     ASSERT_EQ(f.pop(), ref.front());

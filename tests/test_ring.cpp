@@ -368,7 +368,7 @@ TEST(Ring, StallLeavesStatisticsUntouched) {
   const auto fb_depths = h.ring.fb_read_depth_counts();
   const auto host_out_words = h.ring.host_out_words_per_switch();
   const auto bus_drives = h.ring.bus_drives();
-  const auto pipe_pushes = h.ring.pipeline(0).pushes();
+  const auto pipe_pushes = h.ring.feedback_bank().pushes();
   const auto out_words = h.out.size();
   const auto counter = h.ring.dnode(1, 0).local().counter();
 
@@ -388,7 +388,7 @@ TEST(Ring, StallLeavesStatisticsUntouched) {
   EXPECT_EQ(h.ring.fb_read_depth_counts(), fb_depths);
   EXPECT_EQ(h.ring.host_out_words_per_switch(), host_out_words);
   EXPECT_EQ(h.ring.bus_drives(), bus_drives);
-  EXPECT_EQ(h.ring.pipeline(0).pushes(), pipe_pushes);
+  EXPECT_EQ(h.ring.feedback_bank().pushes(), pipe_pushes);
   EXPECT_EQ(h.out.size(), out_words);
   EXPECT_EQ(h.ring.dnode(1, 0).local().counter(), counter);
 }
