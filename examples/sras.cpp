@@ -19,6 +19,9 @@
 //   --batch <n>                             run the program n times
 //                                           across the fleet; outputs
 //                                           must stay bit-identical
+//   With either flag, --report-json writes one job's stats-only report
+//   plus rt_workers / rt_batch / rt_total_cycles extras; a single run
+//   (no fleet flag) gives the same job's per-Dnode detail.
 //
 // Serving subcommands (src/net/ remote job-serving subsystem):
 //   sras serve [--host H] [--port N] [--workers N] [--queue N]

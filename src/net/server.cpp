@@ -1030,10 +1030,7 @@ void Server::record_completion(
   rec.worker = static_cast<std::uint32_t>(result.worker);
   rec.sim_cycles = result.report.stats.cycles;
   rec.plan_hits = result.report.stats.plan_hits;
-  if (const obs::Counter* c =
-          result.report.metrics.find_counter("ring.superstep.cycles")) {
-    rec.superstep_cycles = c->value();
-  }
+  rec.superstep_cycles = result.report.stats.superstep_cycles;
   rec.start_offset_us = us_between(start_time_, child.admitted);
   rec.queue_wait_us = clamp_u32(tl.queue_wait_us());
   rec.arm_us = clamp_u32(tl.arm_us());

@@ -6,8 +6,8 @@
 // everything the paper's host hands the core for one kernel launch:
 // the configware + management code (LoadableProgram), the input word
 // stream, and the run policy (halt- or output-bounded).  A JobResult
-// is what comes back: the raw host output words plus the per-run
-// RunReport.
+// is what comes back: the raw host output words plus the run's
+// SystemStats.
 //
 // Jobs are value types — each one runs on a private System owned by
 // exactly one worker thread, which is what makes per-job results
@@ -71,10 +71,11 @@ struct JobResult {
   bool ok = false;
   std::string error;          ///< SimError text when !ok
   std::vector<Word> outputs;  ///< sliced host output words
-  RunReport report;           ///< full per-run record (deterministic)
+  RunReport report;  ///< from_stats: the run's SystemStats, no per-Dnode detail
 
-  // Execution provenance — the only fields allowed to differ between
-  // runs of the same batch at different worker counts.
+  // Execution provenance — with report.stats' plan_* / superstep_*
+  // dispatch counters, the only fields allowed to differ between runs
+  // of the same batch at different worker counts.
   std::size_t worker = 0;        ///< worker index that ran the job
   bool reused_system = false;    ///< pooled System, program still loaded
   std::uint64_t trace_id = 0;    ///< Job::trace_id, echoed back

@@ -1,8 +1,7 @@
 #include "rt/runtime.hpp"
 
-#include <cstdio>
 #include <exception>
-#include <string_view>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -26,6 +25,27 @@ std::vector<std::uint64_t> job_cycle_bounds() {
   for (std::uint64_t b = 64; b <= (1u << 20); b <<= 1) bounds.push_back(b);
   return bounds;
 }
+
+/// The SystemStats fields a worker sums over its successful jobs, and
+/// the fleet names metrics() gives the sums.
+constexpr std::pair<const char*, std::uint64_t SystemStats::*> kSummed[] = {
+    {"rt.sim_cycles", &SystemStats::cycles},
+    {"rt.dnode_ops", &SystemStats::dnode_ops},
+    {"rt.host_words_in", &SystemStats::host_words_in},
+    {"rt.host_words_out", &SystemStats::host_words_out},
+    // Plan-cache / superstep effectiveness per deployment, not just per
+    // cycle-bench run.
+    {"ring.plan.compiles", &SystemStats::plan_compiles},
+    {"ring.plan.hits", &SystemStats::plan_hits},
+    {"ring.plan.invalidations", &SystemStats::plan_invalidations},
+    {"ring.superstep.dispatches", &SystemStats::superstep_dispatches},
+    {"ring.superstep.cycles", &SystemStats::superstep_cycles},
+    {"ring.superstep.exit.bus_drive", &SystemStats::superstep_exit_bus_drive},
+    {"ring.superstep.exit.budget", &SystemStats::superstep_exit_budget},
+    {"ring.superstep.exit.output_stop",
+     &SystemStats::superstep_exit_output_stop},
+    {"ring.superstep.exit.host_stall", &SystemStats::superstep_exit_host_stall},
+};
 
 }  // namespace
 
@@ -102,69 +122,75 @@ std::vector<JobResult> Runtime::submit_batch(std::vector<Job> jobs) {
   return results;
 }
 
+Runtime::Totals::Totals()
+    : job_cycles(job_cycle_bounds()),
+      queue_wait_us(obs::latency_bounds_us()),
+      arm_us(obs::latency_bounds_us()),
+      execute_us(obs::latency_bounds_us()) {}
+
+void Runtime::Totals::add(const JobResult& result, const SystemPool& pool) {
+  ++jobs;
+  if (!result.ok) {
+    ++jobs_failed;
+  } else {
+    const SystemStats& s = result.report.stats;
+    for (const auto& [name, field] : kSummed) ok.*field += s.*field;
+    job_cycles.record(s.cycles);
+  }
+  if (obs::telemetry_enabled()) {
+    const obs::SpanTimeline& tl = result.timeline;
+    queue_wait_us.record(tl.queue_wait_us());
+    arm_us.record(tl.arm_us());
+    execute_us.record(tl.execute_us());
+    busy_us += tl.us_between(obs::SpanTimeline::kDequeued,
+                             obs::SpanTimeline::kCompleted);
+  }
+  // Copied here: metrics() must not read a pool its worker is using.
+  pool_fast_resets = pool.fast_resets();
+  pool_full_loads = pool.full_loads();
+  pool_systems = pool.systems_constructed();
+}
+
+void Runtime::Totals::publish(obs::Registry& out, std::size_t worker) const {
+  // A name appears once a job that feeds it has closed, and shared
+  // names add across the fleet.
+  if (jobs == 0) return;
+  const std::string p = "rt.worker." + std::to_string(worker) + ".";
+  out.counter("rt.jobs").add(jobs);
+  out.counter(p + "jobs").add(jobs);
+  if (jobs_failed > 0) {
+    out.counter("rt.jobs_failed").add(jobs_failed);
+    out.counter(p + "jobs_failed").add(jobs_failed);
+  }
+  if (jobs > jobs_failed) {
+    for (const auto& [name, field] : kSummed) out.counter(name).add(ok.*field);
+    out.counter(p + "sim_cycles").add(ok.cycles);
+    out.histogram("rt.job_cycles", job_cycles.bounds()).merge_from(job_cycles);
+  }
+  if (execute_us.count() > 0) {
+    const auto& bounds = obs::latency_bounds_us();
+    out.histogram("rt.latency.queue_wait_us", bounds).merge_from(queue_wait_us);
+    out.histogram("rt.latency.arm_us", bounds).merge_from(arm_us);
+    out.histogram("rt.latency.execute_us", bounds).merge_from(execute_us);
+    // Worker busy time; utilization = rate(rt.busy_us) / workers.
+    out.counter("rt.busy_us").add(busy_us);
+  }
+  out.counter("rt.pool.fast_resets").add(pool_fast_resets);
+  out.counter("rt.pool.full_loads").add(pool_full_loads);
+  out.counter(p + "pool.fast_resets").add(pool_fast_resets);
+  out.counter(p + "pool.full_loads").add(pool_full_loads);
+  out.counter(p + "pool.systems").add(pool_systems);
+}
+
 void Runtime::worker_main(std::size_t index) {
   Worker& w = *workers_[index];
   while (auto env = queue_.pop()) {
     env->timeline.stamp(obs::SpanTimeline::kDequeued);
     JobResult result = run_job(env->job, index, w, env->timeline);
-
     {  // job-boundary accounting; the simulation itself ran lock-free
       std::lock_guard lock(w.mu);
-      char name[64];
-      std::snprintf(name, sizeof(name), "rt.worker.%zu.", index);
-      const std::string p(name);
-      obs::Registry& reg = w.registry;
-      reg.counter("rt.jobs").add(1);
-      reg.counter(p + "jobs").add(1);
-      if (!result.ok) {
-        reg.counter("rt.jobs_failed").add(1);
-        reg.counter(p + "jobs_failed").add(1);
-      } else {
-        const SystemStats& s = result.report.stats;
-        reg.counter("rt.sim_cycles").add(s.cycles);
-        reg.counter("rt.dnode_ops").add(s.dnode_ops);
-        reg.counter("rt.host_words_in").add(s.host_words_in);
-        reg.counter("rt.host_words_out").add(s.host_words_out);
-        reg.counter(p + "sim_cycles").add(s.cycles);
-        reg.histogram("rt.job_cycles", job_cycle_bounds())
-            .record(s.cycles);
-        // Plan-cache / superstep effectiveness per deployment, not
-        // just per cycle-bench run (ROADMAP: matvec8's 0.29 hit rate).
-        reg.counter("ring.plan.compiles").add(s.plan_compiles);
-        reg.counter("ring.plan.hits").add(s.plan_hits);
-        reg.counter("ring.plan.invalidations").add(s.plan_invalidations);
-        // Every ring.superstep.* counter (dispatches, cycles, exit
-        // reasons): one ordered range of the job's registry.
-        constexpr std::string_view kSuperstep = "ring.superstep.";
-        const auto& counters = result.report.metrics.counters();
-        for (auto it = counters.lower_bound(kSuperstep);
-             it != counters.end() && it->first.starts_with(kSuperstep); ++it) {
-          reg.counter(it->first).add(it->second.value());
-        }
-      }
-      if (obs::telemetry_enabled()) {
-        const obs::SpanTimeline& tl = result.timeline;
-        reg.histogram("rt.latency.queue_wait_us", obs::latency_bounds_us())
-            .record(tl.queue_wait_us());
-        reg.histogram("rt.latency.arm_us", obs::latency_bounds_us())
-            .record(tl.arm_us());
-        reg.histogram("rt.latency.execute_us", obs::latency_bounds_us())
-            .record(tl.execute_us());
-        // Worker busy time; utilization = rate(rt.busy_us) / workers.
-        reg.counter("rt.busy_us")
-            .add(tl.us_between(obs::SpanTimeline::kDequeued,
-                               obs::SpanTimeline::kCompleted));
-      }
-      // set() with the pool's cumulative totals: each worker owns its
-      // registry, and merge_from() adds counters, so shared names
-      // (rt.pool.*) sum across the fleet at snapshot time.
-      reg.counter("rt.pool.fast_resets").set(w.pool.fast_resets());
-      reg.counter("rt.pool.full_loads").set(w.pool.full_loads());
-      reg.counter(p + "pool.fast_resets").set(w.pool.fast_resets());
-      reg.counter(p + "pool.full_loads").set(w.pool.full_loads());
-      reg.counter(p + "pool.systems").set(w.pool.systems_constructed());
+      w.totals.add(result, w.pool);
     }
-
     env->result.set_value(std::move(result));
     if (env->notify) env->notify();
   }
@@ -204,7 +230,7 @@ JobResult Runtime::run_job(const Job& job, std::size_t index,
         raw.begin() + static_cast<std::ptrdiff_t>(job.discard_prefix),
         raw.begin() +
             static_cast<std::ptrdiff_t>(job.discard_prefix + take));
-    result.report = RunReport::from_system(job.name, sys);
+    result.report = RunReport::from_stats(job.name, sys.stats());
     if (worker.sink) sys.set_trace(nullptr);
     result.ok = true;
   } catch (const std::exception& e) {
@@ -230,9 +256,9 @@ obs::Registry Runtime::metrics() const {
   out.counter("rt.queue.rejected_full").set(q.rejected_full);
   out.counter("rt.queue.rejected_closed").set(q.rejected_closed);
 
-  for (const auto& w : workers_) {
-    std::lock_guard lock(w->mu);
-    out.merge_from(w->registry);
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    std::lock_guard lock(workers_[i]->mu);
+    workers_[i]->totals.publish(out, i);
   }
   return out;
 }

@@ -10,17 +10,17 @@
 //
 // Determinism: a job never shares a System with a concurrently
 // running job — each worker arms a private instance, so per-job
-// outputs and RunReports are bit-identical at any worker count (only
-// the JobResult provenance fields differ).  The test suite holds the
-// runtime to that.
+// outputs and SystemStats are bit-identical at any worker count (only
+// the plan-cache / superstep dispatch counters and the JobResult
+// provenance fields differ).  The test suite holds the runtime to that.
 //
-// Observability: workers accumulate into per-worker obs::Registry
-// instances guarded by per-worker mutexes taken only at job
-// boundaries — the simulation hot path is lock-free.  metrics()
-// merges those registries (plus queue statistics) into one fleet
-// snapshot via Registry::merge_from.  An optional sink factory gives
-// each worker its own EventSink; a traced worker re-attaches the sink
-// per job, so each job appears as one begin()-delimited trace segment.
+// Observability: workers add each job's SystemStats into per-worker
+// totals guarded by per-worker mutexes taken only at job boundaries —
+// the simulation hot path is lock-free.  metrics() names those totals
+// (plus queue statistics) in one fleet snapshot.  An optional sink
+// factory gives each worker its own EventSink; a traced worker
+// re-attaches the sink per job, so each job appears as one
+// begin()-delimited trace segment.
 #pragma once
 
 #include <cstdint>
@@ -106,8 +106,8 @@ class Runtime {
   /// it).
   std::size_t queue_capacity() const { return queue_.stats().capacity; }
 
-  /// Fleet-wide metrics snapshot: queue statistics plus the merged
-  /// per-worker registries (rt.jobs, rt.sim_cycles, per-worker
+  /// Fleet-wide metrics snapshot: queue statistics plus the summed
+  /// per-worker totals (rt.jobs, rt.sim_cycles, per-worker
   /// rt.worker.<i>.* counters, pool reuse counters, job-cycle and
   /// rt.latency.* histograms, ring.plan.* / ring.superstep.*
   /// effectiveness counters).  Callable at any time, including
@@ -115,12 +115,33 @@ class Runtime {
   obs::Registry metrics() const;
 
  private:
+  /// One worker's job-boundary totals.  Plain fields, so closing a job
+  /// formats no names and looks nothing up; metrics() publishes them
+  /// under their rt.* / ring.* names.
+  struct Totals {
+    std::uint64_t jobs = 0;
+    std::uint64_t jobs_failed = 0;
+    SystemStats ok;  ///< successful jobs' counters, summed where published
+    obs::Histogram job_cycles;
+    obs::Histogram queue_wait_us;  ///< these three: telemetry-on jobs only
+    obs::Histogram arm_us;
+    obs::Histogram execute_us;
+    std::uint64_t busy_us = 0;
+    std::uint64_t pool_fast_resets = 0;
+    std::uint64_t pool_full_loads = 0;
+    std::uint64_t pool_systems = 0;
+
+    Totals();
+    void add(const JobResult& result, const SystemPool& pool);
+    void publish(obs::Registry& out, std::size_t worker) const;
+  };
+
   struct Worker {
     std::thread thread;
     SystemPool pool;
     std::unique_ptr<obs::EventSink> sink;
-    mutable std::mutex mu;    ///< guards registry; taken per job, not per cycle
-    obs::Registry registry;
+    mutable std::mutex mu;    ///< guards totals; taken per job, not per cycle
+    Totals totals;
 
     explicit Worker(std::size_t pool_size) : pool(pool_size) {}
   };

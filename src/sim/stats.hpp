@@ -31,10 +31,25 @@ struct SystemStats {
   std::uint64_t plan_evictions = 0;      ///< plan-cache entries discarded
   std::uint64_t plan_seq_fusions = 0;    ///< periodic plan rotations fused
   std::uint64_t plan_seq_hits = 0;       ///< re-attaches served by prediction
+  /// Multi-cycle planned-engine dispatches (System's supersteps) that
+  /// ran at least one cycle, the cycles they covered, and why each one
+  /// handed back; the four exit counts sum to superstep_dispatches.
+  /// One-cycle step() dispatches never count.
+  std::uint64_t superstep_dispatches = 0;
+  std::uint64_t superstep_cycles = 0;
+  std::uint64_t superstep_exit_bus_drive = 0;   ///< last cycle drove the bus
+  std::uint64_t superstep_exit_budget = 0;      ///< cycle cap or WAIT wake-up
+  std::uint64_t superstep_exit_output_stop = 0; ///< run_until_outputs stop
+  std::uint64_t superstep_exit_host_stall = 0;  ///< next cycle would stall
+
+  bool operator==(const SystemStats&) const = default;
 
   /// Fraction of Dnode issue slots used, given the Dnode count.
   double utilization(std::size_t dnode_count) const noexcept;
 
+  /// One-line summary.  Leaves out the superstep_* fields: they are the
+  /// only ones that differ between a superstep run and a per-cycle or
+  /// traced run of the same program, and those runs compare this text.
   std::string to_string() const;
 };
 

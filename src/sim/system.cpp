@@ -193,6 +193,13 @@ SystemStats System::stats() const {
   s.plan_evictions = ring_.plan_evictions();
   s.plan_seq_fusions = ring_.plan_seq_fusions();
   s.plan_seq_hits = ring_.plan_seq_hits();
+  using Exit = Ring::SuperstepExit;
+  s.superstep_dispatches = ring_.superstep_dispatches();
+  s.superstep_cycles = ring_.superstep_cycles();
+  s.superstep_exit_bus_drive = ring_.superstep_exits(Exit::kBusDrive);
+  s.superstep_exit_budget = ring_.superstep_exits(Exit::kBudget);
+  s.superstep_exit_output_stop = ring_.superstep_exits(Exit::kOutputStop);
+  s.superstep_exit_host_stall = ring_.superstep_exits(Exit::kHostStall);
   return s;
 }
 
@@ -227,17 +234,14 @@ obs::Registry System::metrics() const {
   // Multi-cycle (superstep) dispatches of the planned engine.  These
   // are the ONLY values allowed to differ between superstep and
   // per-cycle execution of the same run.
-  reg.counter("ring.superstep.dispatches").set(ring_.superstep_dispatches());
-  reg.counter("ring.superstep.cycles").set(ring_.superstep_cycles());
-  using Exit = Ring::SuperstepExit;
-  reg.counter("ring.superstep.exit.bus_drive")
-      .set(ring_.superstep_exits(Exit::kBusDrive));
-  reg.counter("ring.superstep.exit.budget")
-      .set(ring_.superstep_exits(Exit::kBudget));
+  reg.counter("ring.superstep.dispatches").set(s.superstep_dispatches);
+  reg.counter("ring.superstep.cycles").set(s.superstep_cycles);
+  reg.counter("ring.superstep.exit.bus_drive").set(s.superstep_exit_bus_drive);
+  reg.counter("ring.superstep.exit.budget").set(s.superstep_exit_budget);
   reg.counter("ring.superstep.exit.output_stop")
-      .set(ring_.superstep_exits(Exit::kOutputStop));
+      .set(s.superstep_exit_output_stop);
   reg.counter("ring.superstep.exit.host_stall")
-      .set(ring_.superstep_exits(Exit::kHostStall));
+      .set(s.superstep_exit_host_stall);
 
   reg.counter("host.words_in").set(s.host_words_in);
   reg.counter("host.words_out").set(s.host_words_out);

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "asm/assembler.hpp"
@@ -602,6 +603,20 @@ TEST(Superstep, Counters) {
     exits += e->value();
   }
   EXPECT_EQ(exits, d->value());
+
+  // metrics() publishes the superstep counters from stats().
+  const SystemStats s = sys.stats();
+  const std::pair<const char*, std::uint64_t> published[] = {
+      {"ring.superstep.dispatches", s.superstep_dispatches},
+      {"ring.superstep.cycles", s.superstep_cycles},
+      {"ring.superstep.exit.bus_drive", s.superstep_exit_bus_drive},
+      {"ring.superstep.exit.budget", s.superstep_exit_budget},
+      {"ring.superstep.exit.output_stop", s.superstep_exit_output_stop},
+      {"ring.superstep.exit.host_stall", s.superstep_exit_host_stall},
+  };
+  for (const auto& [name, value] : published) {
+    EXPECT_EQ(reg.find_counter(name)->value(), value) << name;
+  }
 }
 
 TEST(Superstep, ExitReasons) {

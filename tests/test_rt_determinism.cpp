@@ -1,8 +1,9 @@
 // Determinism guarantees of the batch-execution runtime:
 //
 //  * the same batch yields bit-identical per-job outputs and
-//    RunReports at 1, 2 and 8 workers (only JobResult provenance —
-//    worker index, reused_system — may differ);
+//    SystemStats at 1, 2 and 8 workers (only the plan/superstep
+//    dispatch counters and JobResult provenance — worker index,
+//    reused_system — may differ);
 //  * a job run on a pooled, re-armed System matches one run on a
 //    fresh System;
 //  * System::reset_for_rerun restores a System to a state
@@ -51,12 +52,32 @@ Image image(std::uint64_t seed, std::size_t w, std::size_t h) {
   return img;
 }
 
-/// Report JSON with the ring.plan.* and ring.superstep.* counters
-/// normalized away.  Those counters describe which execution machinery
-/// served each cycle — plan-cache warmth carried across reruns and the
-/// worker scheduling that decides it — not the simulated machine, and
-/// they are the only part of a RunReport allowed to vary between a
-/// fresh System, a pooled rerun and different worker counts.
+/// `s` with the plan_* and superstep_* fields zeroed.  They describe
+/// which execution machinery served each cycle — plan-cache warmth
+/// carried across reruns and the worker scheduling that decides it —
+/// not the simulated machine, and they are the only counters allowed
+/// to vary between a fresh System, a pooled rerun, a per-cycle run and
+/// different worker counts.
+SystemStats dispatch_independent(SystemStats s) {
+  s.plan_compiles = 0;
+  s.plan_hits = 0;
+  s.plan_invalidations = 0;
+  s.plan_content_hits = 0;
+  s.plan_evictions = 0;
+  s.plan_seq_fusions = 0;
+  s.plan_seq_hits = 0;
+  s.superstep_dispatches = 0;
+  s.superstep_cycles = 0;
+  s.superstep_exit_bus_drive = 0;
+  s.superstep_exit_budget = 0;
+  s.superstep_exit_output_stop = 0;
+  s.superstep_exit_host_stall = 0;
+  return s;
+}
+
+/// JSON of a full report (RunReport::from_system) with the same
+/// counters zeroed in its metrics registry; its "stats" object leaves
+/// them out already.
 std::string report_normalized(RunReport r) {
   for (const char* name :
        {"ring.plan.compiles", "ring.plan.hits", "ring.plan.invalidations",
@@ -89,7 +110,7 @@ std::vector<Job> mixed_batch() {
 
 TEST(RtDeterminism, SameBatchBitIdenticalAcrossWorkerCounts) {
   std::vector<std::vector<Word>> ref_outputs;
-  std::vector<std::string> ref_reports;
+  std::vector<SystemStats> ref_stats;
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
@@ -101,9 +122,9 @@ TEST(RtDeterminism, SameBatchBitIdenticalAcrossWorkerCounts) {
       for (const auto& r : results) {
         ASSERT_TRUE(r.ok) << r.error;
         ref_outputs.push_back(r.outputs);
-        // RunReport carries only simulated state (cycles, ops, FIFO
-        // depths) — no wall-clock — so the full JSON must reproduce.
-        ref_reports.push_back(report_normalized(r.report));
+        // SystemStats carries only simulated state (cycles, ops,
+        // stalls) — no wall-clock — so every field must reproduce.
+        ref_stats.push_back(dispatch_independent(r.report.stats));
       }
       continue;
     }
@@ -111,8 +132,9 @@ TEST(RtDeterminism, SameBatchBitIdenticalAcrossWorkerCounts) {
       ASSERT_TRUE(results[i].ok) << results[i].error;
       EXPECT_EQ(results[i].outputs, ref_outputs[i])
           << "job " << i << " outputs diverged at " << workers << " workers";
-      EXPECT_EQ(report_normalized(results[i].report), ref_reports[i])
-          << "job " << i << " report diverged at " << workers << " workers";
+      EXPECT_EQ(dispatch_independent(results[i].report.stats), ref_stats[i])
+          << "job " << i << " stats diverged at " << workers << " workers: "
+          << results[i].report.stats.to_string();
     }
   }
 }
@@ -243,14 +265,11 @@ TEST(RtDeterminism, SuperstepEngineTransparentAcrossBatch) {
                    ? raw.end()
                    : first + static_cast<std::ptrdiff_t>(job.take_words));
     EXPECT_EQ(with[i].outputs, without) << "job " << i;
-    EXPECT_EQ(report_normalized(with[i].report),
-              report_normalized(RunReport::from_system(job.name, sys)))
-        << "job " << i;
-    const obs::Counter* fused_c =
-        with[i].report.metrics.find_counter("ring.superstep.dispatches");
-    ASSERT_NE(fused_c, nullptr);
-    fused_dispatches += fused_c->value();
-    EXPECT_EQ(sys.ring().superstep_dispatches(), 0u)
+    EXPECT_EQ(dispatch_independent(with[i].report.stats),
+              dispatch_independent(sys.stats()))
+        << "job " << i << ": " << with[i].report.stats.to_string();
+    fused_dispatches += with[i].report.stats.superstep_dispatches;
+    EXPECT_EQ(sys.stats().superstep_dispatches, 0u)
         << "job " << i << ": step() must never count a superstep";
   }
   EXPECT_GT(fused_dispatches, 0u)

@@ -5,6 +5,7 @@
 
 #include <future>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -52,13 +53,14 @@ TEST(Runtime, FirJobMatchesDirectKernelRun) {
                     .get();
   ASSERT_TRUE(r.ok) << r.error;
 
-  kernels::FirResult direct = kernels::run_spatial_fir(kGeom, x, coeffs);
+  const kernels::FirResult direct =
+      kernels::run_spatial_fir(kGeom, x, coeffs);
   EXPECT_EQ(r.outputs, direct.outputs);
   EXPECT_EQ(r.outputs, dsp::fir_reference(x, coeffs));
-  // Same program, same feed, same machine: the whole simulated record
-  // agrees (the kernel helper adds bench extras the job does not).
-  direct.report.extras = obs::JsonValue::object();
-  EXPECT_EQ(r.report.to_json().dump(), direct.report.to_json().dump());
+  // Same program, same feed, same machine, both on a fresh System: every
+  // SystemStats field agrees, the dispatch counters included.
+  EXPECT_EQ(r.report.stats, direct.stats) << r.report.stats.to_string();
+  EXPECT_GT(r.report.stats.superstep_dispatches, 0u);
 }
 
 TEST(Runtime, MotionEstimationJobMatchesReference) {
@@ -216,19 +218,43 @@ TEST(Runtime, MetricsAggregateAcrossWorkers) {
   }
   EXPECT_EQ(per_worker_sum, 8u);
 
-  // The jobs' superstep counters fold in too, and the exit reasons
-  // still sum to the dispatches.
-  const obs::Counter* dispatches = m.find_counter("ring.superstep.dispatches");
-  ASSERT_NE(dispatches, nullptr);
-  EXPECT_GT(dispatches->value(), 0u);
+  // Conservation: each fleet total is the sum of the matching field
+  // over the jobs' SystemStats.
+  const std::pair<const char*, std::uint64_t SystemStats::*> folded[] = {
+      {"rt.sim_cycles", &SystemStats::cycles},
+      {"rt.dnode_ops", &SystemStats::dnode_ops},
+      {"rt.host_words_in", &SystemStats::host_words_in},
+      {"rt.host_words_out", &SystemStats::host_words_out},
+      {"ring.plan.compiles", &SystemStats::plan_compiles},
+      {"ring.plan.hits", &SystemStats::plan_hits},
+      {"ring.plan.invalidations", &SystemStats::plan_invalidations},
+      {"ring.superstep.dispatches", &SystemStats::superstep_dispatches},
+      {"ring.superstep.cycles", &SystemStats::superstep_cycles},
+      {"ring.superstep.exit.bus_drive", &SystemStats::superstep_exit_bus_drive},
+      {"ring.superstep.exit.budget", &SystemStats::superstep_exit_budget},
+      {"ring.superstep.exit.output_stop",
+       &SystemStats::superstep_exit_output_stop},
+      {"ring.superstep.exit.host_stall",
+       &SystemStats::superstep_exit_host_stall},
+  };
+  for (const auto& [name, field] : folded) {
+    std::uint64_t sum = 0;
+    for (const auto& r : results) sum += r.report.stats.*field;
+    const obs::Counter* c = m.find_counter(name);
+    ASSERT_NE(c, nullptr) << name;
+    EXPECT_EQ(c->value(), sum) << name;
+  }
+
+  // The jobs reached supersteps, and the exit reasons still sum to the
+  // dispatches.
+  const std::uint64_t dispatches =
+      m.find_counter("ring.superstep.dispatches")->value();
+  EXPECT_GT(dispatches, 0u);
   std::uint64_t exits = 0;
   for (const char* why : {"bus_drive", "budget", "output_stop", "host_stall"}) {
-    const obs::Counter* e =
-        m.find_counter(std::string("ring.superstep.exit.") + why);
-    ASSERT_NE(e, nullptr) << why;
-    exits += e->value();
+    exits += m.find_counter(std::string("ring.superstep.exit.") + why)->value();
   }
-  EXPECT_EQ(exits, dispatches->value());
+  EXPECT_EQ(exits, dispatches);
 }
 
 TEST(Runtime, SubmitAfterShutdownThrows) {
